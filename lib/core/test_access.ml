@@ -285,6 +285,11 @@ type table = {
   feasible_bits : bool array;  (** row-major [module][source][sink] *)
   route_bits : bool array;  (** row-major [module][source][sink] *)
   memory_bits : bool array;  (** row-major [module][source] *)
+  row_params : int array;
+      (** row-major [module][3]: flits in, flits out and shift cycles
+          — the wrapper-derived part of a row's costs, kept so
+          {!table_degrade} reprices cells without redesigning the
+          wrapper *)
   costs : cost option array;  (** [None] on an invalid source/sink pair *)
   channels : int array array;
       (** row-major [module][source][sink]: the dense channel ids of
@@ -296,6 +301,8 @@ type table = {
           its base table instead of renumbering: a calendar populated
           under the base table stays valid under the rebuilt one. *)
 }
+
+let row_stride = 3
 
 (* Dense per-table channel numbering: every distinct link routed over
    by any (module, source, sink) pair gets one id, in first-use order —
@@ -312,15 +319,89 @@ let channels_of_links t links =
              c)
        links)
 
+(* Each leg's router path for one module, from every endpoint to the
+   CUT and back: XY, or the table's custom route function. *)
+let row_routes t ~cut =
+  let system = t.table_system in
+  let resolve ~src ~dst =
+    match t.table_route with
+    | None -> Some (Xy.route system.System.topology ~src ~dst)
+    | Some f -> f ~src ~dst
+  in
+  ( Array.map
+      (fun e -> resolve ~src:(Resource.coord system e) ~dst:cut)
+      t.endpoints,
+    Array.map
+      (fun e -> resolve ~src:cut ~dst:(Resource.coord system e))
+      t.endpoints )
+
+(* Route survivability of each path leg, for any endpoint — the
+   validator probes arbitrary (source, sink) combinations, so these
+   cover even endpoints that cannot legally play the role.  Under a
+   custom router a leg survives iff the router produced a path (which
+   must itself avoid the faulty channels). *)
+let legs_ok t routes =
+  let failed = t.table_system.System.failed_links in
+  if Link.Set.is_empty failed && Option.is_none t.table_route then
+    Array.make t.width true
+  else
+    Array.map
+      (function
+        | None -> false
+        | Some r ->
+            List.for_all
+              (fun l -> not (Link.Set.mem l failed))
+              (Xy.links_of_route r))
+      routes
+
+let source_legs t ~flits_in in_routes =
+  Array.mapi
+    (fun i e ->
+      match in_routes.(i) with
+      | Some r when Resource.can_source e ->
+          Some
+            (source_leg_of_route t.table_system
+               ~application:t.table_application ~flits_in e r)
+      | Some _ | None -> None)
+    t.endpoints
+
+let sink_legs t ~flits_out out_routes =
+  Array.mapi
+    (fun i e ->
+      match out_routes.(i) with
+      | Some r when Resource.can_sink e ->
+          Some (sink_leg_of_route t.table_system ~flits_out e r)
+      | Some _ | None -> None)
+    t.endpoints
+
+(* Price one valid (source, sink) cell from its two legs, or mark it
+   pathless when the custom router left a leg unreachable.  Every field
+   is written, so rows recomputed over a copied table forget their
+   previous state. *)
+let set_cell t ~idx ~mem ~m ~shift_cycles sleg kleg =
+  match (sleg, kleg) with
+  | Some sleg, Some kleg ->
+      let c =
+        combine_legs t.table_system ~m ~shift_cycles
+          ~pattern_count:m.Module_def.patterns sleg kleg
+      in
+      t.costs.(idx) <- Some c;
+      t.channels.(idx) <- channels_of_links t c.links;
+      t.feasible_bits.(idx) <- t.route_bits.(idx) && t.memory_bits.(mem)
+  | _ ->
+      t.costs.(idx) <- None;
+      t.channels.(idx) <- [||];
+      t.feasible_bits.(idx) <- false
+
 (* Fill one module's row of the table — every (source, sink) cell plus
-   the per-source memory bits.  Shared by {!table} (every row, in order)
-   and {!table_rebuild} (affected rows only). *)
+   the per-source memory bits and the row's wrapper-derived parameters.
+   Shared by {!table} (every row, in order) and {!table_rebuild}
+   (affected rows only). *)
 let fill_row t row module_id =
   let system = t.table_system in
   let application = t.table_application in
   let endpoints = t.endpoints in
   let n = t.width in
-  let no_failed = Link.Set.is_empty system.System.failed_links in
   let m = Soc.find system.System.soc module_id in
   (* The expensive per-module invariants, computed once. *)
   let wrapper = Wrapper.design ~width:system.System.flit_width m in
@@ -329,91 +410,34 @@ let fill_row t row module_id =
     | Processor.Bist -> 0
     | Processor.Decompression -> decompression_footprint_of_wrapper m wrapper
   in
-  let cut = System.coord_of_module system module_id in
   let flits_in = wrapper.Wrapper.scan_in_max + 1 in
   let flits_out = wrapper.Wrapper.scan_out_max + 1 in
   let shift_cycles = Wrapper.pattern_cycles wrapper in
+  t.row_params.(row_stride * row) <- flits_in;
+  t.row_params.((row_stride * row) + 1) <- flits_out;
+  t.row_params.((row_stride * row) + 2) <- shift_cycles;
   (* Per-endpoint path legs, computed once per (module, endpoint)
      instead of once per (module, source, sink) triple. *)
-  let topology = system.System.topology in
-  let resolve ~src ~dst =
-    match t.table_route with
-    | None -> Some (Xy.route topology ~src ~dst)
-    | Some f -> f ~src ~dst
+  let in_routes, out_routes =
+    row_routes t ~cut:(System.coord_of_module system module_id)
   in
-  let in_routes =
-    Array.map
-      (fun e -> resolve ~src:(Resource.coord system e) ~dst:cut)
-      endpoints
-  in
-  let out_routes =
-    Array.map
-      (fun e -> resolve ~src:cut ~dst:(Resource.coord system e))
-      endpoints
-  in
-  let source_legs =
-    Array.mapi
-      (fun i e ->
-        match in_routes.(i) with
-        | Some r when Resource.can_source e ->
-            Some (source_leg_of_route system ~application ~flits_in e r)
-        | Some _ | None -> None)
-      endpoints
-  in
-  let sink_legs =
-    Array.mapi
-      (fun i e ->
-        match out_routes.(i) with
-        | Some r when Resource.can_sink e ->
-            Some (sink_leg_of_route system ~flits_out e r)
-        | Some _ | None -> None)
-      endpoints
-  in
-  (* Route survivability of each path leg, for any endpoint — the
-     validator probes arbitrary (source, sink) combinations, so
-     these cover even endpoints that cannot legally play the role.
-     Under a custom router a leg survives iff the router produced a
-     path (which must itself avoid the faulty channels). *)
-  let link_ok l = not (Link.Set.mem l system.System.failed_links) in
-  let leg_ok routes =
-    if no_failed && Option.is_none t.table_route then Array.make n true
-    else
-      Array.map
-        (function
-          | None -> false
-          | Some r -> List.for_all link_ok (Xy.links_of_route r))
-        routes
-  in
-  let in_route_ok = leg_ok in_routes in
-  let out_route_ok = leg_ok out_routes in
+  let source_legs = source_legs t ~flits_in in_routes in
+  let sink_legs = sink_legs t ~flits_out out_routes in
+  let in_route_ok = legs_ok t in_routes in
+  let out_route_ok = legs_ok t out_routes in
   let base = row * n * n in
   Array.iteri
     (fun si source ->
-      t.memory_bits.((row * n) + si) <-
+      let mem = (row * n) + si in
+      t.memory_bits.(mem) <-
         memory_feasible_of_footprint system ~application ~footprint ~source;
       Array.iteri
         (fun ki sink ->
           let idx = base + (si * n) + ki in
           t.route_bits.(idx) <- in_route_ok.(si) && out_route_ok.(ki);
-          if Resource.valid_pair ~source ~sink then begin
-            match (source_legs.(si), sink_legs.(ki)) with
-            | Some sleg, Some kleg ->
-                let c =
-                  combine_legs system ~m ~shift_cycles
-                    ~pattern_count:m.Module_def.patterns sleg kleg
-                in
-                t.costs.(idx) <- Some c;
-                t.channels.(idx) <- channels_of_links t c.links;
-                t.feasible_bits.(idx) <-
-                  t.route_bits.(idx) && t.memory_bits.((row * n) + si)
-            | _ ->
-                (* A leg is unreachable under the custom router: the
-                   pair has no path, hence no cost.  Explicit resets so
-                   {!table_rebuild} rows forget their previous state. *)
-                t.costs.(idx) <- None;
-                t.channels.(idx) <- [||];
-                t.feasible_bits.(idx) <- false
-          end)
+          if Resource.valid_pair ~source ~sink then
+            set_cell t ~idx ~mem ~m ~shift_cycles source_legs.(si)
+              sink_legs.(ki))
         endpoints)
     endpoints
 
@@ -451,6 +475,7 @@ let table ?(application = Processor.Bist) ?route system =
       feasible_bits = Array.make cells false;
       route_bits = Array.make cells false;
       memory_bits = Array.make (List.length module_ids * n) false;
+      row_params = Array.make (row_stride * List.length module_ids) 0;
       costs = Array.make (max 1 cells) None;
       channels = Array.make (max 1 cells) [||];
       channel_ids = Hashtbl.create 64;
@@ -509,6 +534,7 @@ let table_rebuild base ~system ~affected =
       feasible_bits = Array.copy base.feasible_bits;
       route_bits = Array.copy base.route_bits;
       memory_bits = Array.copy base.memory_bits;
+      row_params = Array.copy base.row_params;
       costs = Array.copy base.costs;
       channels = Array.copy base.channels;
       (* Copy, then extend: links already numbered keep their ids, so
@@ -522,6 +548,127 @@ let table_rebuild base ~system ~affected =
     (fun id -> fill_row t (Hashtbl.find t.module_rows id) id)
     (List.sort_uniq compare affected);
   t
+
+(* Reprice one module's row of a table copied from a healthy XY base.
+   A cell whose two legs both come back from the route function as the
+   XY path keeps the base's cost and channels verbatim — the base
+   priced exactly that path with the same wrapper, endpoints and NoC
+   figures; every other valid cell is repriced from the row's stored
+   wrapper parameters.  Returns the number of cells repriced. *)
+let degrade_row t row module_id =
+  let system = t.table_system in
+  let topology = system.System.topology in
+  let endpoints = t.endpoints in
+  let n = t.width in
+  let cut = System.coord_of_module system module_id in
+  let in_routes, out_routes = row_routes t ~cut in
+  let in_route_ok = legs_ok t in_routes in
+  let out_route_ok = legs_ok t out_routes in
+  let is_xy routes xy =
+    Array.mapi
+      (fun i -> function
+        | Some r ->
+            List.equal Coord.equal r (xy (Resource.coord system endpoints.(i)))
+        | None -> false)
+      routes
+  in
+  let in_xy = is_xy in_routes (fun src -> Xy.route topology ~src ~dst:cut) in
+  let out_xy = is_xy out_routes (fun dst -> Xy.route topology ~src:cut ~dst) in
+  let legs =
+    lazy
+      (let p = row_stride * row in
+       ( Soc.find system.System.soc module_id,
+         t.row_params.(p + 2),
+         source_legs t ~flits_in:t.row_params.(p) in_routes,
+         sink_legs t ~flits_out:t.row_params.(p + 1) out_routes ))
+  in
+  let recomputed = ref 0 in
+  let base = row * n * n in
+  Array.iteri
+    (fun si source ->
+      let mem = (row * n) + si in
+      Array.iteri
+        (fun ki sink ->
+          let idx = base + (si * n) + ki in
+          t.route_bits.(idx) <- in_route_ok.(si) && out_route_ok.(ki);
+          if Resource.valid_pair ~source ~sink then
+            if in_xy.(si) && out_xy.(ki) then
+              t.feasible_bits.(idx) <-
+                t.route_bits.(idx) && t.memory_bits.(mem)
+            else begin
+              incr recomputed;
+              let m, shift_cycles, source_legs, sink_legs = Lazy.force legs in
+              set_cell t ~idx ~mem ~m ~shift_cycles source_legs.(si)
+                sink_legs.(ki)
+            end)
+        endpoints)
+    endpoints;
+  !recomputed
+
+let table_degrade base ~system ~route =
+  let old = base.table_system in
+  if
+    Option.is_some base.table_route
+    || not (Link.Set.is_empty old.System.failed_links)
+  then invalid_arg "Test_access.table_degrade: base is not a healthy XY table";
+  if
+    not
+      (system.System.soc == old.System.soc
+      && system.System.topology == old.System.topology
+      && system.System.latency == old.System.latency
+      && system.System.noc_power == old.System.noc_power
+      && system.System.flit_width = old.System.flit_width
+      && system.System.placement == old.System.placement
+      && system.System.processors == old.System.processors
+      && system.System.io_inputs == old.System.io_inputs
+      && system.System.io_outputs == old.System.io_outputs)
+  then
+    invalid_arg
+      "Test_access.table_degrade: system is not the base's system with \
+       failed links added";
+  let derive () =
+    let t =
+      {
+        base with
+        table_system = system;
+        table_route = Some route;
+        feasible_bits = Array.copy base.feasible_bits;
+        route_bits = Array.copy base.route_bits;
+        (* Memory bits and wrapper parameters do not depend on routes:
+           shared, as both tables are immutable once built. *)
+        costs = Array.copy base.costs;
+        channels = Array.copy base.channels;
+        (* Extend the base's numbering, as {!table_rebuild} does. *)
+        channel_ids = Hashtbl.copy base.channel_ids;
+      }
+    in
+    let recomputed = ref 0 in
+    List.iteri
+      (fun row module_id ->
+        recomputed := !recomputed + degrade_row t row module_id)
+      (System.module_ids system);
+    (t, !recomputed)
+  in
+  if not (Nocplan_obs.Trace.enabled ()) then fst (derive ())
+  else begin
+    Nocplan_obs.Trace.begin_span "access.table"
+      ~attrs:
+        [
+          ("system", Nocplan_obs.Trace.String system.System.soc.Soc.name);
+          ( "modules",
+            Nocplan_obs.Trace.Int (Soc.module_count system.System.soc) );
+          ("derived", Nocplan_obs.Trace.Bool true);
+        ];
+    match derive () with
+    | t, recomputed ->
+        Nocplan_obs.Trace.end_span "access.table"
+          ~attrs:[ ("recomputed", Nocplan_obs.Trace.Int recomputed) ];
+        t
+    | exception exn ->
+        Nocplan_obs.Trace.end_span "access.table"
+          ~attrs:[ ("raised", Nocplan_obs.Trace.Bool true) ];
+        raise exn
+  end
 
 let table_for t ~system ~application =
   t.table_system == system && t.table_application = application

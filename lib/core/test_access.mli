@@ -155,6 +155,33 @@ val table_rebuild : table -> system:System.t -> affected:int list -> table
     module outside [affected] (or a processor) sits on a different tile
     in [system] than in the base table's system. *)
 
+val table_degrade : table -> system:System.t -> route:route_fn -> table
+(** [table_degrade base ~system ~route] is the access table of the
+    degraded [system] under [route] — equal, cell for cell, to
+    [table ~application ~route system] with [base]'s application,
+    except that the dense channel numbering {e extends} the base's (as
+    {!table_rebuild}'s does) instead of starting afresh.
+
+    [base] must be a healthy XY table: built without [route] for a
+    system with no failed links.  [system] must be that system with
+    failed links added ({!System.with_failed_links}): the same soc,
+    topology, NoC figures, placement, processors and IO ports.
+
+    Exactness: a cell's cost depends on its module's wrapper, its two
+    endpoints, the NoC figures and the two leg paths — only the paths
+    can differ.  A cell whose two legs [route] returns as the XY paths
+    is copied from [base], which priced exactly those paths; every
+    other cell is repriced from the wrapper parameters [base] keeps per
+    row, so no wrapper is redesigned.  {!Nocplan_fault.Detour.route}
+    returns the XY path verbatim whenever it is healthy, so under a
+    detour router only cells with a leg crossing a fault are repriced.
+    Route and feasibility bits are recomputed for every cell.
+
+    Emits the ["access.table"] span with a [derived] attribute, and the
+    number of [recomputed] cells at its end.
+    @raise Invalid_argument if [base] is not a healthy XY table or
+    [system] is not its system with failed links added. *)
+
 val table_for :
   table ->
   system:System.t ->

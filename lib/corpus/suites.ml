@@ -47,9 +47,15 @@ let schedule_invariants_check (item : Corpus.item) =
 (* -- backend_differential ------------------------------------------- *)
 
 let backend_differential_check (item : Corpus.item) =
+  let config = Corpus.config item in
+  (* One table for both backends and their validators. *)
+  let access =
+    Core.Test_access.table ~application:config.Core.Scheduler.application
+      item.Corpus.system
+  in
   let row =
-    Core.Differential.race_row ~label:item.Corpus.name item.Corpus.system
-      (Corpus.config item)
+    Core.Differential.race_row ~access ~label:item.Corpus.name
+      item.Corpus.system config
   in
   match row.Core.Differential.outcome with
   | Error msg -> Fail ("no backend produced a valid schedule: " ^ msg)

@@ -4,6 +4,7 @@ module Topology = Nocplan_noc.Topology
 module System = Nocplan_core.System
 module Schedule = Nocplan_core.Schedule
 module Scheduler = Nocplan_core.Scheduler
+module Test_access = Nocplan_core.Test_access
 module Processor = Nocplan_proc.Processor
 module Trace = Nocplan_obs.Trace
 module Rng = Nocplan_itc02.Data_gen.Rng
@@ -74,12 +75,11 @@ type run = {
   replans : int;
 }
 
-let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ~reuse ~events system =
-  let baseline =
-    Scheduler.run system
-      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
-  in
+(* Replay [events] against [baseline]: the campaign body of {!run},
+   shared by {!sweep} so every rate starts from one baseline schedule
+   and one healthy access table. *)
+let replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
+    system =
   let rec group = function
     | [] -> []
     | (e : event) :: rest ->
@@ -101,8 +101,8 @@ let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
       ~attrs:
         [ ("at", Trace.Int at); ("targets", Trace.Int (List.length targets)) ];
     let outcome =
-      Recover.after ~policy ~application ~power_limit ~abandoned ~reuse ~at
-        ~faults system sched
+      Recover.after ~policy ~application ~power_limit ~abandoned ?access ~reuse
+        ~at ~faults system sched
     in
     let sched' =
       Schedule.of_entries (outcome.Recover.kept @ outcome.Recover.replanned)
@@ -126,6 +126,15 @@ let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     replans = List.length groups;
   }
 
+let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
+    ?(power_limit = None) ?access ~reuse ~events system =
+  let baseline =
+    Scheduler.run ?access system
+      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
+  in
+  replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
+    system
+
 type point = {
   rate : float;
   injected : int;
@@ -135,16 +144,21 @@ type point = {
   replans : int;
 }
 
-let sweep ?policy ?application ?power_limit ~reuse ~seed ~rates system =
-  let baseline_cfg =
-    Scheduler.config ?policy ?application ?power_limit ~reuse ()
+let sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
+    ?(power_limit = None) ~reuse ~seed ~rates system =
+  let access = Test_access.table ~application system in
+  let baseline =
+    Scheduler.run ~access system
+      (Scheduler.config ~policy ~application ~power_limit ~reuse ())
   in
-  let baseline = Scheduler.run system baseline_cfg in
   let horizon = max 1 baseline.Schedule.makespan in
   List.map
     (fun rate ->
       let events = draw ~seed ~rate ~horizon system.System.topology in
-      let r = run ?policy ?application ?power_limit ~reuse ~events system in
+      let r =
+        replay ~policy ~application ~power_limit ~access ~reuse ~baseline
+          ~events system
+      in
       ( {
           rate;
           injected = List.length events;

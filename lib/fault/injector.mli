@@ -65,6 +65,7 @@ val run :
   ?policy:Nocplan_core.Scheduler.policy ->
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
+  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   events:event list ->
   Nocplan_core.System.t ->
@@ -72,8 +73,12 @@ val run :
 (** Schedule the session fault-free, then replay [events] in time
     order: events sharing an instant are injected together, each
     distinct instant drives one {!Recover.after} against the schedule
-    surviving so far.  Emits a ["fault.inject"] trace instant per
-    event group.  Raises as {!Recover.after}. *)
+    surviving so far.  [access] is the system's XY access table: it
+    prices the fault-free schedule and every replan derives its
+    degraded table from it ({!Recover.after}).  Emits a
+    ["fault.inject"] trace instant per event group.  Raises as
+    {!Recover.after}, and as {!Nocplan_core.Scheduler.run} when
+    [access] was built for another system or application. *)
 
 type point = {
   rate : float;
@@ -95,6 +100,8 @@ val sweep :
   (point * run) list
 (** One campaign per rate, all drawn with [seed] over the fault-free
     makespan as horizon — the availability / makespan-degradation
-    curve. *)
+    curve.  Every rate's campaign equals [run] on the same events; the
+    sweep builds the healthy access table and the fault-free schedule
+    once and shares them across rates. *)
 
 val pp_point : point Fmt.t

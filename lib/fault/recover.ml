@@ -22,7 +22,7 @@ let availability_of system ~abandoned =
   else float_of_int (total - List.length abandoned) /. float_of_int total
 
 let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ?(abandoned = []) ~reuse ~at ~faults system
+    ?(power_limit = None) ?(abandoned = []) ?access ~reuse ~at ~faults system
     (schedule : Schedule.t) =
   if at < 0 then invalid_arg "Recover.after: negative event time";
   Trace.span "fault.replan"
@@ -50,8 +50,14 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   let degraded =
     System.with_failed_links system (Detour.blocked_links topology faults)
   in
+  let route = Detour.route_fn detour in
   let access =
-    Test_access.table ~application ~route:(Detour.route_fn detour) degraded
+    match access with
+    | Some healthy
+      when Test_access.table_for healthy ~system ~application
+           && Link.Set.is_empty system.System.failed_links ->
+        Test_access.table_degrade healthy ~system:degraded ~route
+    | Some _ | None -> Test_access.table ~application ~route degraded
   in
   let endpoints = Resource.all_endpoints degraded ~reuse in
   let pretested =

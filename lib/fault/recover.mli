@@ -26,6 +26,7 @@ val after :
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
   ?abandoned:int list ->
+  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   at:int ->
   faults:Detour.fault_set ->
@@ -44,8 +45,18 @@ val after :
     earlier events of the same campaign; they stay abandoned and are
     excluded from coverage.
 
+    [access] is the XY access table of [system] (no failed links) and
+    [application], as {!Nocplan_core.Scheduler.run} takes it: the
+    degraded table is then derived from it with
+    {!Nocplan_core.Test_access.table_degrade}, which reprices only the
+    cells whose paths the faults reroute.  A table for another system
+    or application, or a [system] that already has failed links, is
+    ignored and the degraded table is built from scratch — the outcome
+    is the same either way.
+
     Emits a ["fault.replan"] trace span (the detour table build inside
-    adds its own ["fault.detour"] span).
+    adds its own ["fault.detour"] span, the access table its
+    ["access.table"] span).
 
     @raise Invalid_argument on a negative [at] or out-of-range
     [reuse].

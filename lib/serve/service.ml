@@ -553,7 +553,7 @@ let execute t (req : Protocol.request) ~check =
                   in
                   let outcome =
                     Fault.Recover.after ~policy ~application ~power_limit
-                      ~reuse ~at ~faults system baseline
+                      ~access ~reuse ~at ~faults system baseline
                   in
                   Stats.record_fault t.stats
                     ~events:(Fault.Detour.fault_count faults)

@@ -241,6 +241,36 @@ let test_runner_jobs_invariant () =
              contains 0)
            testplan.Corpus.Testplan.testpoints)
 
+(* --- golden verify report --------------------------------------------- *)
+
+(* A seeded 20-system slice through the checked-in testplan, digested as
+   the JSON artifact `nocplan verify --out` writes, minus the wall-clock
+   [seconds].  A performance change must leave it byte-identical. *)
+let test_verify_report_digest () =
+  match Corpus.Testplan.load testplan_path with
+  | Error msg -> Alcotest.failf "testplan: %s" msg
+  | Ok testplan ->
+      let report =
+        Corpus.Runner.run ~jobs:1 ~testplan
+          (Corpus.Corpus.generate ~seed:7L ~count:20)
+      in
+      let module Json = Nocplan_serve.Json in
+      let rec strip = function
+        | Json.Obj fields ->
+            Json.Obj
+              (List.filter_map
+                 (fun (k, v) ->
+                   if k = "seconds" then None else Some (k, strip v))
+                 fields)
+        | Json.List l -> Json.List (List.map strip l)
+        | j -> j
+      in
+      Alcotest.(check string)
+        "verify report digest" "1ad0ec0fe37671f17e2d8f9b0248f03d"
+        (Digest.to_hex
+           (Digest.string
+              (Json.to_string (strip (Corpus.Runner.to_json ~seed:7L report)))))
+
 let suite =
   [
     prop_item_schedules_clean;
@@ -259,4 +289,6 @@ let suite =
       test_testplan_rejects_malformed;
     Alcotest.test_case "runner is domain-count invariant" `Slow
       test_runner_jobs_invariant;
+    Alcotest.test_case "verify report golden digest (20 systems)" `Slow
+      test_verify_report_digest;
   ]

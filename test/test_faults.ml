@@ -157,6 +157,108 @@ let prop_fault_free_systems_unaffected =
             endpoints)
         (System.module_ids sys))
 
+(* --- the sweep against a from-scratch reference ----------------------- *)
+
+module Fault = Nocplan_fault
+module Injector = Fault.Injector
+module Recover = Fault.Recover
+
+(* What the sweep did before it shared work across rates: every rate
+   schedules its own baseline, and every step replans with
+   [Recover.after] building its degraded table from scratch. *)
+let reference_sweep ~application ~power_limit ~reuse ~seed ~rates sys =
+  let config = Scheduler.config ~application ~power_limit ~reuse () in
+  let horizon = max 1 (Scheduler.run sys config).Schedule.makespan in
+  List.map
+    (fun rate ->
+      let events = Injector.draw ~seed ~rate ~horizon sys.System.topology in
+      let instants =
+        List.sort_uniq Int.compare
+          (List.map (fun (e : Injector.event) -> e.Injector.at) events)
+      in
+      let final, _, abandoned, steps =
+        List.fold_left
+          (fun (sched, faults, abandoned, steps) at ->
+            let targets =
+              List.filter_map
+                (fun (e : Injector.event) ->
+                  if e.Injector.at = at then Some e.Injector.target else None)
+                events
+            in
+            let faults =
+              Fault.Detour.union faults (Injector.fault_set_of targets)
+            in
+            let o =
+              Recover.after ~application ~power_limit ~abandoned ~reuse ~at
+                ~faults sys sched
+            in
+            ( Schedule.of_entries (o.Recover.kept @ o.Recover.replanned),
+              faults,
+              o.Recover.abandoned,
+              steps @ [ (at, targets, faults, o) ] ))
+          (Scheduler.run sys config, Fault.Detour.no_faults, [], [])
+          instants
+      in
+      (List.length events, abandoned, final.Schedule.makespan, steps))
+    rates
+
+let prop_sweep_matches_reference =
+  let corpus_item_gen =
+    QCheck2.Gen.(
+      map2
+        (fun seed index ->
+          Nocplan_corpus.Corpus.item ~seed:(Int64.of_int seed) ~index)
+        (int_range 0 10_000) (int_range 0 50))
+  in
+  qcheck ~count:12
+    "sweep = per-rate baselines and from-scratch replans, both applications"
+    QCheck2.Gen.(pair corpus_item_gen (int_range 0 1000))
+    (fun (item, seed) ->
+      let sys = item.Nocplan_corpus.Corpus.system in
+      let power_limit = item.Nocplan_corpus.Corpus.power_limit in
+      let reuse = item.Nocplan_corpus.Corpus.reuse in
+      let rates = [ 0.0; 0.1; 0.25; 0.5 ] in
+      List.for_all
+        (fun application ->
+          (* A detour can outgrow the item's power floor; both sides
+             must then give up alike. *)
+          let attempt f =
+            match f () with
+            | v -> Some v
+            | exception Scheduler.Unschedulable _ -> None
+          in
+          match
+            ( attempt (fun () ->
+                  Injector.sweep ~application ~power_limit ~reuse ~seed ~rates
+                    sys),
+              attempt (fun () ->
+                  reference_sweep ~application ~power_limit ~reuse ~seed
+                    ~rates sys) )
+          with
+          | None, None -> true
+          | None, Some _ | Some _, None -> false
+          | Some sweep, Some reference ->
+              List.for_all2
+                (fun ((p : Injector.point), (r : Injector.run))
+                     (injected, abandoned, makespan, steps) ->
+                  p.Injector.injected = injected
+                  && r.Injector.abandoned = abandoned
+                  && p.Injector.abandoned_count = List.length abandoned
+                  && p.Injector.availability
+                     = Recover.availability_of sys ~abandoned
+                  && p.Injector.makespan = makespan
+                  && p.Injector.replans = List.length steps
+                  && List.map
+                       (fun (s : Injector.step) ->
+                         ( s.Injector.at,
+                           s.Injector.injected,
+                           s.Injector.faults,
+                           s.Injector.outcome ))
+                       r.Injector.steps
+                     = steps)
+                sweep reference)
+        [ Proc.Processor.Bist; Proc.Processor.Decompression ])
+
 let suite =
   [
     Alcotest.test_case "route feasibility basics" `Quick
@@ -172,4 +274,5 @@ let suite =
     Alcotest.test_case "failures accumulate" `Quick
       test_with_failed_links_accumulates;
     prop_fault_free_systems_unaffected;
+    prop_sweep_matches_reference;
   ]

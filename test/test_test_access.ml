@@ -271,6 +271,168 @@ let test_sweep_ignores_mismatched_table () =
     (series (Core.Planner.reuse_sweep sys))
     (series (Core.Planner.reuse_sweep ~access:foreign sys))
 
+(* --- tables derived from the healthy one ----------------------------- *)
+
+module Fault = Nocplan_fault
+module Corpus = Nocplan_corpus.Corpus
+
+(* Everything a table answers, per (module, source, sink), with channel
+   ids mapped back to links: a derived table extends its base's channel
+   numbering, so only the links behind the ids are comparable with a
+   fresh build's.  Fails if a table's numbering is not a bijection or
+   disagrees with the cell's cost. *)
+let table_view sys access =
+  let endpoints =
+    Resource.all_endpoints sys ~reuse:(List.length sys.System.processors)
+  in
+  let link_of = Hashtbl.create 64 and id_of = Hashtbl.create 64 in
+  let bind id l =
+    (match Hashtbl.find_opt link_of id with
+    | Some l' when not (Link.equal l l') ->
+        Alcotest.failf "channel %d names two links" id
+    | _ -> Hashtbl.replace link_of id l);
+    match Hashtbl.find_opt id_of l with
+    | Some id' when id' <> id ->
+        Alcotest.failf "link %a has two channel ids" Link.pp l
+    | _ -> Hashtbl.replace id_of l id
+  in
+  List.concat_map
+    (fun module_id ->
+      let row = Test_access.module_row access module_id in
+      List.concat_map
+        (fun source ->
+          let src = Test_access.endpoint_id access source in
+          List.map
+            (fun sink ->
+              let snk = Test_access.endpoint_id access sink in
+              let cost =
+                match Test_access.cost_ix access ~row ~src ~snk with
+                | c -> Some c
+                | exception Invalid_argument _ -> None
+              in
+              let channels =
+                Array.to_list (Test_access.channels_ix access ~row ~src ~snk)
+              in
+              (match cost with
+              | Some c
+                when List.length c.Test_access.links = List.length channels ->
+                  List.iter2 bind channels c.Test_access.links
+              | Some _ -> Alcotest.fail "channels and links differ in length"
+              | None ->
+                  if channels <> [] then
+                    Alcotest.fail "a cell without cost has channels");
+              ( ( Test_access.feasible_ix access ~row ~src ~snk,
+                  Test_access.table_route_feasible access ~module_id ~source
+                    ~sink,
+                  Test_access.table_memory_feasible access ~module_id ~source
+                ),
+                cost,
+                List.map (Hashtbl.find link_of) channels ))
+            endpoints)
+        endpoints)
+    (System.module_ids sys)
+
+let corpus_item_gen =
+  QCheck2.Gen.(
+    map2
+      (fun seed index -> Corpus.item ~seed:(Int64.of_int seed) ~index)
+      (int_range 0 10_000) (int_range 0 50))
+
+let prop_degrade_matches_fresh =
+  qcheck ~count:15
+    "table_degrade = a fresh detour-routed table, nested fault sets, both \
+     applications"
+    QCheck2.Gen.(pair corpus_item_gen (int_range 0 1000))
+    (fun (item, seed) ->
+      let sys = item.Corpus.system in
+      let topology = sys.System.topology in
+      List.for_all
+        (fun application ->
+          let healthy = Test_access.table ~application sys in
+          List.for_all
+            (fun rate ->
+              let events =
+                Fault.Injector.draw ~seed ~rate ~horizon:100 topology
+              in
+              let faults =
+                Fault.Injector.fault_set_of
+                  (List.map
+                     (fun (e : Fault.Injector.event) -> e.Fault.Injector.target)
+                     events)
+              in
+              let route =
+                Fault.Detour.route_fn (Fault.Detour.table topology faults)
+              in
+              let degraded =
+                System.with_failed_links sys
+                  (Fault.Detour.blocked_links topology faults)
+              in
+              let derived =
+                Test_access.table_degrade healthy ~system:degraded ~route
+              in
+              Test_access.table_for derived ~system:degraded ~application
+              && table_view degraded derived
+                 = table_view degraded
+                     (Test_access.table ~application ~route degraded))
+            [ 0.1; 0.25; 0.5 ])
+        [ Proc.Processor.Bist; Proc.Processor.Decompression ])
+
+let test_degrade_rejects_unhealthy_base () =
+  let sys = system () in
+  let link = Link.channel (Coord.make ~x:0 ~y:0) (Coord.make ~x:1 ~y:0) in
+  let broken = System.with_failed_links sys [ link ] in
+  let xy ~src ~dst =
+    Some (Nocplan_noc.Xy_routing.route sys.System.topology ~src ~dst)
+  in
+  let rejects name base ~system =
+    match Test_access.table_degrade base ~system ~route:xy with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "routed base" (Test_access.table ~route:xy sys) ~system:broken;
+  rejects "base with failed links" (Test_access.table broken)
+    ~system:(System.with_failed_links broken [ link ]);
+  rejects "another system" (Test_access.table sys)
+    ~system:(System.with_failed_links (renumbered_system ()) [ link ]);
+  rejects "moved modules" (Test_access.table sys)
+    ~system:(System.with_failed_links (System.swap_tiles sys 1 2) [ link ]);
+  (* The healthy XY table of the same system is accepted. *)
+  ignore
+    (Test_access.table_degrade (Test_access.table sys) ~system:broken
+       ~route:xy)
+
+let test_degrade_span () =
+  (* A dead router on the mesh's middle tile reroutes some legs. *)
+  let sys = system () in
+  let topology = sys.System.topology in
+  let faults = Fault.Detour.fault_set ~routers:[ Coord.make ~x:1 ~y:1 ] () in
+  let degraded =
+    System.with_failed_links sys (Fault.Detour.blocked_links topology faults)
+  in
+  let route = Fault.Detour.route_fn (Fault.Detour.table topology faults) in
+  let healthy = Test_access.table sys in
+  let _, events =
+    Nocplan_obs.Trace.with_collector (fun () ->
+        Test_access.table_degrade healthy ~system:degraded ~route)
+  in
+  let spans =
+    List.filter
+      (fun (e : Nocplan_obs.Trace.event) ->
+        e.Nocplan_obs.Trace.name = "access.table")
+      events
+  in
+  match spans with
+  | [ b; e ] ->
+      Alcotest.(check (option bool)) "begin marks the table derived"
+        (Some true)
+        (Nocplan_obs.Trace.attr_bool b "derived");
+      Alcotest.(check bool) "end counts the repriced cells" true
+        (match Nocplan_obs.Trace.attr_int e "recomputed" with
+        | Some n -> n > 0
+        | None -> false)
+  | _ -> Alcotest.failf "expected one access.table span, got %d events"
+           (List.length spans)
+
 let suite =
   [
     Alcotest.test_case "external pair cost" `Quick test_external_pair_cost;
@@ -293,4 +455,9 @@ let suite =
     Alcotest.test_case "sweep ignores mismatched table" `Quick
       test_sweep_ignores_mismatched_table;
     prop_cost_well_formed;
+    prop_degrade_matches_fresh;
+    Alcotest.test_case "table_degrade rejects an unhealthy base" `Quick
+      test_degrade_rejects_unhealthy_base;
+    Alcotest.test_case "derived tables emit a derived access.table span"
+      `Quick test_degrade_span;
   ]
