@@ -981,19 +981,18 @@ let faults_cmd =
                   && nested rest
               | [ _ ] | [] -> true
             in
+            (* Both fields come from one abandoned list: this only
+               guards against the two drifting apart. *)
             let modules =
               float_of_int (List.length (Core.System.module_ids system))
             in
-            let inconsistent =
-              List.filter
-                (fun (p : Fault.Injector.point) ->
-                  Float.abs
-                    (p.Fault.Injector.availability
-                    -. (1.0
-                       -. (float_of_int p.Fault.Injector.abandoned_count
-                          /. modules)))
-                  > 1e-9)
-                points
+            let consistent (p : Fault.Injector.point) =
+              Float.abs
+                (p.Fault.Injector.availability
+                -. (1.0
+                   -. (float_of_int p.Fault.Injector.abandoned_count /. modules)
+                   ))
+              <= 1e-9
             in
             if violations <> [] then
               Fmt.pr "@[<v>invariant violations:@,%a@]@."
@@ -1001,19 +1000,13 @@ let faults_cmd =
                 violations;
             if not (nested points) then
               Fmt.pr "injected fault count falls as the fault rate rises@.";
-            List.iter
-              (fun (p : Fault.Injector.point) ->
-                Fmt.pr
-                  "availability %.4f at rate %.3f disagrees with %d of %.0f \
-                   modules abandoned@."
-                  p.Fault.Injector.availability p.Fault.Injector.rate
-                  p.Fault.Injector.abandoned_count modules)
-              inconsistent;
+            if not (List.for_all consistent points) then
+              Fmt.pr "availability disagrees with the abandoned count@.";
             if
               gate
               && (violations <> []
                  || (not (nested points))
-                 || inconsistent <> [])
+                 || not (List.for_all consistent points))
             then begin
               Fmt.epr "nocplan: faults gate failed@.";
               1
@@ -1044,7 +1037,8 @@ let faults_cmd =
            ~doc:"Exit non-zero if any replanned schedule violates the \
                  independent fault invariants, the injected fault count \
                  falls as the rate rises, or an availability figure \
-                 disagrees with its abandoned count (CI smoke gate).")
+                 disagrees with its abandoned count, which only guards \
+                 against the two fields drifting apart (CI smoke gate).")
   in
   let term =
     Term.(const run $ system_spec $ width_arg $ height_arg $ leons_arg

@@ -605,27 +605,25 @@ let degrade_row t row module_id =
     endpoints;
   !recomputed
 
-let table_degrade base ~system ~route =
+let degradable base ~system =
   let old = base.table_system in
-  if
-    Option.is_some base.table_route
-    || not (Link.Set.is_empty old.System.failed_links)
-  then invalid_arg "Test_access.table_degrade: base is not a healthy XY table";
-  if
-    not
-      (system.System.soc == old.System.soc
-      && system.System.topology == old.System.topology
-      && system.System.latency == old.System.latency
-      && system.System.noc_power == old.System.noc_power
-      && system.System.flit_width = old.System.flit_width
-      && system.System.placement == old.System.placement
-      && system.System.processors == old.System.processors
-      && system.System.io_inputs == old.System.io_inputs
-      && system.System.io_outputs == old.System.io_outputs)
-  then
+  Option.is_none base.table_route
+  && Link.Set.is_empty old.System.failed_links
+  && system.System.soc == old.System.soc
+  && system.System.topology == old.System.topology
+  && system.System.latency == old.System.latency
+  && system.System.noc_power == old.System.noc_power
+  && system.System.flit_width = old.System.flit_width
+  && system.System.placement == old.System.placement
+  && system.System.processors == old.System.processors
+  && system.System.io_inputs == old.System.io_inputs
+  && system.System.io_outputs == old.System.io_outputs
+
+let table_degrade base ~system ~route =
+  if not (degradable base ~system) then
     invalid_arg
-      "Test_access.table_degrade: system is not the base's system with \
-       failed links added";
+      "Test_access.table_degrade: base is not a healthy XY table of \
+       system's fault-free twin";
   let derive () =
     let t =
       {

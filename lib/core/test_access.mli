@@ -155,6 +155,13 @@ val table_rebuild : table -> system:System.t -> affected:int list -> table
     module outside [affected] (or a processor) sits on a different tile
     in [system] than in the base table's system. *)
 
+val degradable : table -> system:System.t -> bool
+(** Whether {!table_degrade} accepts [base] for [system]: [base] is a
+    healthy XY table — built without a route function for a system
+    with no failed links — and [system] is that system with failed
+    links added ({!System.with_failed_links}): the same soc, topology,
+    NoC figures, placement, processors and IO ports. *)
+
 val table_degrade : table -> system:System.t -> route:route_fn -> table
 (** [table_degrade base ~system ~route] is the access table of the
     degraded [system] under [route] — equal, cell for cell, to
@@ -162,10 +169,7 @@ val table_degrade : table -> system:System.t -> route:route_fn -> table
     except that the dense channel numbering {e extends} the base's (as
     {!table_rebuild}'s does) instead of starting afresh.
 
-    [base] must be a healthy XY table: built without [route] for a
-    system with no failed links.  [system] must be that system with
-    failed links added ({!System.with_failed_links}): the same soc,
-    topology, NoC figures, placement, processors and IO ports.
+    [base] and [system] must satisfy {!degradable}.
 
     Exactness: a cell's cost depends on its module's wrapper, its two
     endpoints, the NoC figures and the two leg paths — only the paths
@@ -179,8 +183,7 @@ val table_degrade : table -> system:System.t -> route:route_fn -> table
 
     Emits the ["access.table"] span with a [derived] attribute, and the
     number of [recomputed] cells at its end.
-    @raise Invalid_argument if [base] is not a healthy XY table or
-    [system] is not its system with failed links added. *)
+    @raise Invalid_argument unless [degradable base ~system]. *)
 
 val table_for :
   table ->

@@ -127,13 +127,12 @@ let replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
   }
 
 let run ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ?access ~reuse ~events system =
+    ?(power_limit = None) ~reuse ~events system =
   let baseline =
-    Scheduler.run ?access system
+    Scheduler.run system
       (Scheduler.config ~policy ~application ~power_limit ~reuse ())
   in
-  replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
-    system
+  replay ~policy ~application ~power_limit ~reuse ~baseline ~events system
 
 type point = {
   rate : float;

@@ -65,7 +65,6 @@ val run :
   ?policy:Nocplan_core.Scheduler.policy ->
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
-  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   events:event list ->
   Nocplan_core.System.t ->
@@ -73,12 +72,8 @@ val run :
 (** Schedule the session fault-free, then replay [events] in time
     order: events sharing an instant are injected together, each
     distinct instant drives one {!Recover.after} against the schedule
-    surviving so far.  [access] is the system's XY access table: it
-    prices the fault-free schedule and every replan derives its
-    degraded table from it ({!Recover.after}).  Emits a
-    ["fault.inject"] trace instant per event group.  Raises as
-    {!Recover.after}, and as {!Nocplan_core.Scheduler.run} when
-    [access] was built for another system or application. *)
+    surviving so far.  Emits a ["fault.inject"] trace instant per
+    event group.  Raises as {!Recover.after}. *)
 
 type point = {
   rate : float;

@@ -55,7 +55,7 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
     match access with
     | Some healthy
       when Test_access.table_for healthy ~system ~application
-           && Link.Set.is_empty system.System.failed_links ->
+           && Test_access.degradable healthy ~system:degraded ->
         Test_access.table_degrade healthy ~system:degraded ~route
     | Some _ | None -> Test_access.table ~application ~route degraded
   in

@@ -50,9 +50,10 @@ val after :
     degraded table is then derived from it with
     {!Nocplan_core.Test_access.table_degrade}, which reprices only the
     cells whose paths the faults reroute.  A table for another system
-    or application, or a [system] that already has failed links, is
-    ignored and the degraded table is built from scratch — the outcome
-    is the same either way.
+    or application, or one {!Nocplan_core.Test_access.degradable}
+    rejects (built with a route function, or for a [system] that
+    already has failed links), is ignored and the degraded table is
+    built from scratch — the outcome is the same either way.
 
     Emits a ["fault.replan"] trace span (the detour table build inside
     adds its own ["fault.detour"] span, the access table its

@@ -170,6 +170,36 @@ let test_recover_rejects_negative_time () =
       ignore
         (Recover.after ~reuse:1 ~at:(-1) ~faults:Detour.no_faults sys sched))
 
+let test_recover_access_tables () =
+  (* A dead link mid-session: [after] with the healthy XY table
+     derives its degraded table; with a routed table of the same
+     system (which [table_degrade] would reject) it builds one from
+     scratch.  Both match the replan without a table. *)
+  let sys = small_system () in
+  let sched = Scheduler.run sys (Scheduler.config ~reuse:1 ()) in
+  let at = sched.Schedule.makespan / 2 in
+  let faults = Detour.fault_set ~links:[ Link.channel (c 1 0) (c 2 0) ] () in
+  let xy ~src ~dst = Some (Noc.Xy_routing.route sys.System.topology ~src ~dst) in
+  let plain = Recover.after ~reuse:1 ~at ~faults sys sched in
+  List.iter
+    (fun (name, access, derived) ->
+      let o, events =
+        Nocplan_obs.Trace.with_collector (fun () ->
+            Recover.after ~access ~reuse:1 ~at ~faults sys sched)
+      in
+      Alcotest.(check bool) (name ^ ": same outcome") true (o = plain);
+      Alcotest.(check bool) (name ^ ": derived") derived
+        (List.exists
+           (fun (e : Nocplan_obs.Trace.event) ->
+             e.Nocplan_obs.Trace.name = "access.table"
+             && Nocplan_obs.Trace.attr_bool e "derived" = Some true)
+           events);
+      assert_recover_valid sys ~reuse:1 ~at ~faults o)
+    [
+      ("healthy XY table", Core.Test_access.table sys, true);
+      ("routed table", Core.Test_access.table ~route:xy sys, false);
+    ]
+
 let test_validator_rejects_doctored_outcome () =
   let sys = small_system () in
   let sched = Scheduler.run sys (Scheduler.config ~reuse:1 ()) in
@@ -237,4 +267,6 @@ let suite =
       test_recover_rejects_negative_time;
     Alcotest.test_case "validator rejects doctored outcomes" `Quick
       test_validator_rejects_doctored_outcome;
+    Alcotest.test_case "replan ignores a table it cannot derive from" `Quick
+      test_recover_access_tables;
   ]

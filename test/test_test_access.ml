@@ -385,6 +385,8 @@ let test_degrade_rejects_unhealthy_base () =
     Some (Nocplan_noc.Xy_routing.route sys.System.topology ~src ~dst)
   in
   let rejects name base ~system =
+    Alcotest.(check bool) (name ^ ": not degradable") false
+      (Test_access.degradable base ~system);
     match Test_access.table_degrade base ~system ~route:xy with
     | _ -> Alcotest.failf "%s: accepted" name
     | exception Invalid_argument _ -> ()
@@ -397,6 +399,8 @@ let test_degrade_rejects_unhealthy_base () =
   rejects "moved modules" (Test_access.table sys)
     ~system:(System.with_failed_links (System.swap_tiles sys 1 2) [ link ]);
   (* The healthy XY table of the same system is accepted. *)
+  Alcotest.(check bool) "healthy base degradable" true
+    (Test_access.degradable (Test_access.table sys) ~system:broken);
   ignore
     (Test_access.table_degrade (Test_access.table sys) ~system:broken
        ~route:xy)
