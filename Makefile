@@ -52,10 +52,10 @@ coverage:
 
 # Live-socket smoke: boot the real server, replay the committed
 # request script through test/serve_replay.py and check the response
-# shape (14 responses — including the batch-compatible plan/validate
-# tail with distinct seeds and a warm-opt-out anneal — with the two
-# bad requests refused).  Skipped with a
-# notice when python3 is missing.
+# shape (14 responses — including a plan/validate tail with distinct
+# seeds and an anneal of an already-searched instance — with the two
+# bad requests refused).
+# Skipped with a notice when python3 is missing.
 serve-smoke: build
 	@if command -v python3 >/dev/null 2>&1; then \
 	  sock=$$(mktemp -u /tmp/nocplan-smoke.XXXXXX.sock); \

@@ -1058,8 +1058,8 @@ let faults_cmd =
 (* serve                                                              *)
 
 let serve_cmd =
-  let run socket tcp tcp_ro workers queue cache warm no_coalesce no_batch
-      batch_limit shared verbosity trace trace_ring =
+  let run socket tcp tcp_ro workers queue cache no_coalesce shared verbosity
+      trace trace_ring =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level
       (Some
@@ -1089,8 +1089,7 @@ let serve_cmd =
     in
     let make_service () =
       Serve.Service.create ?workers ~queue_capacity:queue
-        ~cache_capacity:cache ~warm_capacity:warm
-        ~coalescing:(not no_coalesce) ~batching:(not no_batch) ~batch_limit
+        ~cache_capacity:cache ~coalescing:(not no_coalesce)
         ~shared_capacity:shared ()
     in
     (match (socket, tcp, tcp_ro) with
@@ -1185,26 +1184,10 @@ let serve_cmd =
     Arg.(value & opt int 8 & info [ "cache" ] ~docv:"N"
            ~doc:"Access-table cache capacity (systems retained).")
   in
-  let warm_arg =
-    Arg.(value & opt int 32 & info [ "warm" ] ~docv:"N"
-           ~doc:"Warm-start cache capacity: best annealing traces retained \
-                 across requests, keyed by system and configuration (0 \
-                 disables).")
-  in
   let no_coalesce_arg =
     Arg.(value & flag & info [ "no-coalesce" ]
            ~doc:"Give every request its own solve instead of attaching \
                  identical concurrent requests to one in-flight job.")
-  in
-  let no_batch_arg =
-    Arg.(value & flag & info [ "no-batch" ]
-           ~doc:"Run every job alone instead of draining distinct but \
-                 compatible queued requests (same system and configuration \
-                 modulo order) onto one worker pass.")
-  in
-  let batch_limit_arg =
-    Arg.(value & opt int 16 & info [ "batch-limit" ] ~docv:"N"
-           ~doc:"Maximum requests grouped onto one batch pass (>= 2).")
   in
   let shared_arg =
     Arg.(value & opt int 8 & info [ "shared" ] ~docv:"N"
@@ -1223,9 +1206,8 @@ let serve_cmd =
   in
   let term =
     Term.(const run $ socket_arg $ tcp_arg $ tcp_ro_arg $ workers_arg
-          $ queue_arg $ cache_arg $ warm_arg $ no_coalesce_arg $ no_batch_arg
-          $ batch_limit_arg $ shared_arg $ verbose_arg $ trace_arg
-          $ trace_ring_arg)
+          $ queue_arg $ cache_arg $ no_coalesce_arg $ shared_arg $ verbose_arg
+          $ trace_arg $ trace_ring_arg)
   in
   Cmd.v
     (cmd_info "serve"

@@ -4,9 +4,7 @@ module Trace = Nocplan_obs.Trace
 type result = {
   schedule : Schedule.t;
   system : System.t;
-  best_trace : Scheduler.trace;
   initial_makespan : int;
-  warm_started : bool;
   evaluations : int;
   accepted : int;
   placement_evals : int;
@@ -160,7 +158,7 @@ let schedule ?(policy = Scheduler.Greedy)
     ?(application = Nocplan_proc.Processor.Bist) ?(power_limit = None)
     ?(iterations = 400) ?initial_temperature ?(cooling = 0.99)
     ?(seed = 0x5AL) ?(chains = 1) ?(exchange_period = 50)
-    ?(placement_moves = 0.0) ?access ?warm_start ?eval_cache ~reuse system =
+    ?(placement_moves = 0.0) ?access ?eval_cache ~reuse system =
   if iterations < 1 then invalid_arg "Annealing.schedule: iterations < 1";
   if cooling <= 0.0 || cooling > 1.0 then
     invalid_arg "Annealing.schedule: cooling must be in (0, 1]";
@@ -180,33 +178,12 @@ let schedule ?(policy = Scheduler.Greedy)
   let base_config =
     Scheduler.config ~policy ~application ~power_limit ~reuse ()
   in
-  (* Cross-request warm start: a best trace from an earlier search of
-     the same system and configuration is adopted as the shared
-     initial evaluation — the walk starts from the best-known point
-     (so the result can never be worse than it) and the initial
-     engine run is skipped entirely.  A trace for a different system
-     or configuration is ignored, like a mismatched [access]. *)
-  let warm =
-    match warm_start with
-    | Some t when Scheduler.trace_matches t ~system base_config -> Some t
-    | Some _ | None -> None
-  in
-  let initial_order =
-    match warm with
-    | Some t -> Scheduler.trace_order t
-    | None -> Array.of_list (Priority.order system ~reuse)
-  in
+  let initial_order = Array.of_list (Priority.order system ~reuse) in
   let n = Array.length initial_order in
   (* One shared initial evaluation seeds every chain's cache. *)
   let initial =
-    match warm with
-    | Some t -> t
-    | None ->
-        Scheduler.run_traced ~access system
-          {
-            base_config with
-            Scheduler.order = Some (Array.to_list initial_order);
-          }
+    Scheduler.run_traced ~access system
+      { base_config with Scheduler.order = Some (Array.to_list initial_order) }
   in
   let initial_makespan = makespan initial in
   let temperature0 =
@@ -228,10 +205,10 @@ let schedule ?(policy = Scheduler.Greedy)
   (* Cross-request cache sharing: a caller-owned cache for the same
      system and configuration is adopted as chain 0's evaluation cache,
      so this search resumes the prefix traces earlier searches left
-     behind (and leaves its own for the next one).  Like [access] and
-     [warm_start], a mismatched cache is ignored.  Results are
-     unaffected either way: every evaluation through the cache is
-     byte-identical to a from-scratch run. *)
+     behind (and leaves its own for the next one).  Like [access], a
+     mismatched cache is ignored.  Results are unaffected either way:
+     every evaluation through the cache is byte-identical to a
+     from-scratch run. *)
   let adopted =
     match eval_cache with
     | Some c when Eval_cache.matches c ~system base_config -> Some c
@@ -276,7 +253,6 @@ let schedule ?(policy = Scheduler.Greedy)
         ("chains", Trace.Int chains);
         ("iterations", Trace.Int iterations);
         ("initial_makespan", Trace.Int initial_makespan);
-        ("warm_start", Trace.Bool (Option.is_some warm));
       ]
   @@ fun () ->
   if chains = 1 then run_segment ~cooling (List.hd all_chains) iterations
@@ -342,16 +318,10 @@ let schedule ?(policy = Scheduler.Greedy)
   {
     schedule = Scheduler.trace_schedule best;
     system = Scheduler.trace_system best;
-    best_trace = best;
     initial_makespan;
-    warm_started = Option.is_some warm;
     evaluations =
-      (* The shared initial evaluation counts as one engine run —
-         except under a warm start, where it is reused, not run. *)
-      List.fold_left
-        (fun acc ch -> acc + ch.evaluations)
-        (if Option.is_some warm then 0 else 1)
-        all_chains;
+      (* The shared initial evaluation counts as one engine run. *)
+      List.fold_left (fun acc ch -> acc + ch.evaluations) 1 all_chains;
     accepted = List.fold_left (fun acc ch -> acc + ch.accepted) 0 all_chains;
     placement_evals =
       List.fold_left (fun acc ch -> acc + ch.placement_evals) 0 all_chains;

@@ -48,14 +48,9 @@ type result = {
       (** the system the best schedule belongs to: the input system
           under placement-less annealing, a placement-mutated copy of
           it when a placement move won *)
-  best_trace : Scheduler.trace;
-      (** the winning evaluation itself — hand it back as [warm_start]
-          to a later search of the same system and configuration to
-          resume from this result *)
   initial_makespan : int;
       (** the makespan the walk started from: the heuristic-order
-          (greedy) makespan, or the [warm_start] trace's *)
-  warm_started : bool;  (** a [warm_start] trace was accepted *)
+          (greedy) makespan *)
   evaluations : int;  (** engine runs performed, summed over chains *)
   accepted : int;  (** moves accepted (including uphill ones) *)
   placement_evals : int;  (** placement-swap candidates evaluated *)
@@ -80,7 +75,6 @@ val schedule :
   ?exchange_period:int ->
   ?placement_moves:float ->
   ?access:Test_access.table ->
-  ?warm_start:Scheduler.trace ->
   ?eval_cache:Eval_cache.t ->
   reuse:int ->
   System.t ->
@@ -100,18 +94,6 @@ val schedule :
     [placement_moves] is the probability that an iteration swaps two
     module tiles instead of two order positions; with [chains > 1],
     chain 0 keeps annealing the order only (see above).
-
-    [warm_start] resumes from an earlier search: a [best_trace]
-    produced for the {e same} system (physically) and configuration is
-    adopted as the shared initial evaluation — every chain starts at
-    the warmed order, its evaluation cache pre-seeded with the trace's
-    prefixes, and the initial engine run is skipped — so the result is
-    never worse than the warm trace's makespan.  A trace for another
-    system or configuration is silently ignored (like a mismatched
-    [access]); [warm_started] in the result says which happened.
-    Note that a warm start changes the search trajectory (the walk
-    explores around the warmed order), trading bit-for-bit
-    reproducibility of the cold run for convergence.
 
     [eval_cache] lends a caller-owned {!Eval_cache} (for the same
     physical system and configuration modulo order) to chain 0 for

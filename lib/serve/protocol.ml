@@ -20,7 +20,6 @@ type request = {
   seed : int option;
   chains : int option;
   placement_moves : float option;
-  warm : bool option;
   max_sessions : int option;
   at : int option;
   fault_routers : Noc.Coord.t list;
@@ -215,14 +214,6 @@ let parse_request line =
         Error (Parse, "field \"placement_moves\" must be within [0, 1]")
     | _ -> Ok ()
   in
-  let bool_opt name =
-    match Json.member name json with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.Bool v) -> Ok (Some v)
-    | Some _ ->
-        Error (Parse, Printf.sprintf "field %S must be a boolean" name)
-  in
-  let* warm = bool_opt "warm" in
   let* max_sessions = int_opt "max_sessions" in
   let* () =
     match max_sessions with
@@ -289,7 +280,6 @@ let parse_request line =
       seed;
       chains;
       placement_moves;
-      warm;
       max_sessions;
       at;
       fault_routers;
@@ -352,10 +342,6 @@ let coalesce_key req =
           (match req.placement_moves with
           | None -> add "-"
           | Some f -> add (Printf.sprintf "%h" f));
-          (* [warm] shapes the anneal result (a warm-started search
-             follows a different trajectory), so requests differing
-             only in it must never coalesce. *)
-          add (match req.warm with None -> "-" | Some v -> string_of_bool v);
           add_int_opt req.max_sessions;
           add_int_opt req.at;
           List.iter (fun c -> add (Fmt.str "%a" Noc.Coord.pp c)) req.fault_routers;
@@ -368,8 +354,8 @@ let coalesce_key req =
    closing brace.  A [Json.Raw] result — how multi-megabyte sweep and
    plan payloads arrive here — is spliced through untouched instead of
    being copied into a second envelope-sized buffer. *)
-let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ?batch_size
-    ~elapsed_ms result =
+let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ~elapsed_ms
+    result =
   let head_fields =
     [
       ("v", Json.Int version);
@@ -385,10 +371,6 @@ let ok_response ~id ~op ~cache ?(coalesced = false) ?backend ?batch_size
       | Some name -> [ ("backend", Json.String name) ]
       | None -> [])
     @ (if coalesced then [ ("coalesced", Json.Bool true) ] else [])
-    @ (match batch_size with
-      | Some n when n >= 2 ->
-          [ ("batched", Json.Bool true); ("batch_size", Json.Int n) ]
-      | Some _ | None -> [])
     @ [ ("elapsed_ms", Json.Float (Float.round (elapsed_ms *. 1000.) /. 1000.)) ]
   in
   let head = Json.to_string (Json.Obj head_fields) in

@@ -26,7 +26,6 @@
       "seed": 90,              // anneal RNG seed (default 0x5A)
       "chains": 4,             // anneal tempering chains (default 1)
       "placement_moves": 0.3,  // anneal tile-swap move ratio (default 0)
-      "warm": false,           // anneal: opt out of warm starts
       "max_sessions": 3,       // preempt: session split bound (>= 1)
       "at": 5000,              // replan: fault event instant (>= 0)
       "failed_routers": ["1,1"],          // replan: dead routers
@@ -44,18 +43,18 @@
       "elapsed_ms": 12.5, "result": { ... } }
     v}
 
-    A response served from a shared batch pass additionally carries
-    ["batched": true, "batch_size": n] (the number of requests the
-    pass grouped); a coalesced follower carries ["coalesced": true].
-    These markers describe scheduling, not the verdict — the [result]
-    payload is byte-identical to sequential, unbatched service.
+    A coalesced follower additionally carries ["coalesced": true].
+    Like [cache] and [elapsed_ms], the marker describes how the
+    request was served, not the verdict: the [result] payload depends
+    only on the request, never on what the server handled before or
+    alongside it.
 
     {b Backends.}  [plan] and [validate] accept a ["backend"] field
     naming a planning backend ([greedy] — the default, [binpack] — the
     rectangle bin-packing formulation, or [race] — every registered
     backend runs concurrently on its own domain and the best valid
     plan wins, never worse than greedy alone).  Every plan/validate
-    response — batched ones included — names the solver that produced
+    response — coalesced ones included — names the solver that produced
     its plan in ["backend"]; per-backend solve counts, win counts and
     total latency appear in the [metrics] snapshot ([backend_solves],
     [backend_wins], [backend_latency_ms]) and as
@@ -138,10 +137,6 @@ type request = {
   placement_moves : float option;
       (** [Anneal] probability in [0, 1] that a move swaps two module
           tiles instead of two order positions (default 0: order-only) *)
-  warm : bool option;
-      (** [Anneal] warm-start opt-out: [Some false] searches cold,
-          ignoring the server's cross-request warm-start LRU (the
-          result is still noted for later requests).  Default: warm. *)
   max_sessions : int option;
       (** [Preempt] per-core session bound, [>= 1] (default 3) *)
   at : int option;  (** [Replan] fault event instant (default 0) *)
@@ -182,7 +177,6 @@ val ok_response :
   cache:[ `Hit | `Miss | `None ] ->
   ?coalesced:bool ->
   ?backend:string ->
-  ?batch_size:int ->
   elapsed_ms:float ->
   Json.t ->
   string list
@@ -190,10 +184,9 @@ val ok_response :
     whose concatenation is the line.  A [Json.Raw] result is passed
     through as its own chunk, so a multi-megabyte payload is never
     copied into an envelope-sized buffer; transports write the chunks
-    back-to-back.  [batch_size >= 2] marks the response as served from
-    a shared batch pass of that size; [backend] names the solver whose
-    plan the response carries (set for every plan/validate response,
-    batched and coalesced ones included). *)
+    back-to-back.  [backend] names the solver whose plan the response
+    carries (set for every plan/validate response, coalesced ones
+    included). *)
 
 val error_response : id:Json.t -> error_kind -> string -> string
 val op_label : op -> string

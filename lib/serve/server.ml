@@ -23,6 +23,12 @@ let serve_stdio service =
 (* ------------------------------------------------------------------ *)
 (* Socket transports: Unix-domain and TCP                             *)
 
+(* Pending-connection queue per listening socket.  A burst of clients
+   connecting at once must not overflow it: an overflowed SYN is
+   dropped and retried only after the kernel's initial retransmission
+   timeout (1 s).  The kernel clamps the value to [somaxconn]. *)
+let listen_backlog = 4096
+
 type listener = {
   fd : Unix.file_descr;
   kind : [ `Unix of string | `Tcp of Unix.sockaddr ];
@@ -102,7 +108,7 @@ let listen ?(read_only = false) service ~path =
   let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
   (try
      Unix.bind fd (ADDR_UNIX path);
-     Unix.listen fd 64
+     Unix.listen fd listen_backlog
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
@@ -121,7 +127,7 @@ let listen_tcp ?(read_only = false) service ~host ~port =
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd (ADDR_INET (addr, port));
-     Unix.listen fd 64
+     Unix.listen fd listen_backlog
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);

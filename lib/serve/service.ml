@@ -19,16 +19,13 @@ type job = {
   enqueued_at : float;
   deadline : float option;  (* absolute, Unix.gettimeofday clock *)
   coalesce_key : string option;  (* None: this job never coalesces *)
-  batch_key : string option;  (* None: this job never batches *)
 }
 
 type t = {
   queue : job Job_queue.t;
   cache : Table_cache.t;
-  warm : Warm_start.t;
   inflight : job Inflight.t;
   coalescing : bool;
-  batch_limit : int;  (* max jobs per batch pass; 1 disables batching *)
   shared : Core.Eval_cache.Shared.registry option;
   stats : Stats.t;
   created_at : float;
@@ -54,9 +51,7 @@ let snapshot t =
     | Some r -> (Core.Eval_cache.Shared.hits r, Core.Eval_cache.Shared.misses r)
   in
   Stats.snapshot t.stats ~cache_hits:(Table_cache.hits t.cache)
-    ~cache_misses:(Table_cache.misses t.cache)
-    ~warm_hits:(Warm_start.hits t.warm)
-    ~warm_misses:(Warm_start.misses t.warm) ~shared_cache_hits
+    ~cache_misses:(Table_cache.misses t.cache) ~shared_cache_hits
     ~shared_cache_misses
     ~queue_depth:(Job_queue.depth t.queue)
     ~queue_capacity:(Job_queue.capacity t.queue)
@@ -147,15 +142,6 @@ let prometheus_text t =
         (List.map
            (fun (b, ms) -> Prom.sample ~labels:[ ("backend", b) ] ms)
            s.Stats.backend_latency_ms);
-      Prom.metric ~help:"Anneal searches seeded from the warm-start cache."
-        Prom.Counter ~name:"nocplan_warm_hits_total"
-        [ Prom.sample (float_of_int s.Stats.warm_hits) ];
-      Prom.metric ~help:"Anneal searches started cold." Prom.Counter
-        ~name:"nocplan_warm_misses_total"
-        [ Prom.sample (float_of_int s.Stats.warm_misses) ];
-      Prom.metric ~help:"Requests served through shared batch passes."
-        Prom.Counter ~name:"nocplan_batched_total"
-        [ Prom.sample (float_of_int s.Stats.batched) ];
       Prom.metric
         ~help:"Solves that resumed a resident shared evaluation cache."
         Prom.Counter ~name:"nocplan_shared_cache_hits_total"
@@ -207,13 +193,14 @@ let point ~access system ~policy ~application ~power_limit ~reuse =
     validated;
   }
 
-(* The per-instance key covers exactly what cross-request solver state
-   (warm-start traces, shared evaluation caches) depends on: the
-   physical system (via the table-cache key — a cache hit hands back
-   the one shared instance) and the configuration fields
-   [Scheduler.trace_matches] compares.  Search-shape parameters
-   (iterations, seed, chains) are deliberately absent: any search of
-   the same instance can resume from any other's work. *)
+(* The shared evaluation cache key covers exactly what a cached
+   evaluation depends on: the physical system (via the table-cache key
+   — a cache hit hands back the one shared instance) and the
+   configuration fields [Scheduler.trace_matches] compares.
+   Search-shape parameters (iterations, seed, chains) are deliberately
+   absent: cached evaluation is byte-identical to a fresh run, so any
+   search of the same instance can reuse any other's traces without
+   changing its answer. *)
 let instance_key system ~application ~policy ~power_pct ~reuse =
   Printf.sprintf "%s|%s|%s|%d"
     (Table_cache.key system ~application)
@@ -308,8 +295,7 @@ let backend_schedule t ~key ~access system config ~reuse backend =
 (* [execute] answers [Ok (result, cache, backend)]: the payload, the
    access-table cache verdict, and — for plan/validate — the name of
    the planning backend that produced the plan, threaded all the way
-   into the response envelope (batched and coalesced deliveries
-   included). *)
+   into the response envelope (coalesced deliveries included). *)
 let execute t (req : Protocol.request) ~check =
   match req.op with
   | Protocol.Metrics -> Ok (Stats.snapshot_json (snapshot t), `None, None)
@@ -416,17 +402,9 @@ let execute t (req : Protocol.request) ~check =
               let placement_moves =
                 Option.value req.placement_moves ~default:0.0
               in
-              let warm_key =
+              let key =
                 instance_key system ~application ~policy
                   ~power_pct:req.power_pct ~reuse
-              in
-              (* "warm": false searches cold on request — the server's
-                 warm-start LRU is skipped (the result is still noted
-                 below, so later warm requests benefit). *)
-              let warm_start =
-                if Option.value req.warm ~default:true then
-                  Warm_start.find t.warm ~key:warm_key
-                else None
               in
               let config =
                 Core.Scheduler.config ~policy ~application ~power_limit ~reuse
@@ -438,18 +416,12 @@ let execute t (req : Protocol.request) ~check =
                    instance serve its evaluations, and this search's
                    traces stay behind for the next one.  Results are
                    unaffected (cached evaluation is byte-identical). *)
-                with_shared_cache t ~key:warm_key ~access system config
+                with_shared_cache t ~key ~access system config
                   (fun eval_cache ->
                     Core.Annealing.schedule ~policy ~application ~power_limit
                       ~iterations ~seed ~chains ~placement_moves ~access
-                      ?warm_start ?eval_cache ~reuse system)
+                      ?eval_cache ~reuse system)
               in
-              (* A placement-mutated winner belongs to a system no
-                 later request will hold physically — only traces of
-                 the cached instance are worth remembering. *)
-              if r.Core.Annealing.system == system then
-                Warm_start.note t.warm ~key:warm_key
-                  r.Core.Annealing.best_trace;
               Ok
                 ( Json.Obj
                     [
@@ -463,8 +435,6 @@ let execute t (req : Protocol.request) ~check =
                           (Float.round
                              (Core.Annealing.improvement_pct r *. 100.)
                           /. 100.) );
-                      ( "warm_start",
-                        Json.Bool r.Core.Annealing.warm_started );
                       ("evaluations", Json.Int r.Core.Annealing.evaluations);
                       ("accepted", Json.Int r.Core.Annealing.accepted);
                       ( "placement_evals",
@@ -630,7 +600,7 @@ let finish_pending t =
    its [elapsed_ms], its [coalesced] marker), record its outcome and
    answer it.  Called once for the job that ran the solve and once per
    request that coalesced onto it. *)
-let deliver t ~coalesced ?batch_size job verdict =
+let deliver t ~coalesced job verdict =
   let req = job.req in
   let outcome, response =
     match verdict with
@@ -638,7 +608,7 @@ let deliver t ~coalesced ?batch_size job verdict =
         let elapsed_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1e3 in
         ( Stats.Served,
           Protocol.ok_response ~id:req.id ~op:req.op ~cache ~coalesced
-            ?backend ?batch_size ~elapsed_ms result )
+            ?backend ~elapsed_ms result )
     | `Bad (kind, msg) ->
         let outcome =
           match kind with
@@ -666,7 +636,7 @@ let deliver t ~coalesced ?batch_size job verdict =
          m "dropping response (client gone?): %s" (Printexc.to_string exn)));
   finish_pending t
 
-let run_job t ~worker ?batch_size job =
+let run_job t ~worker job =
   let req = job.req in
   let started_at = Unix.gettimeofday () in
   let check () =
@@ -710,65 +680,30 @@ let run_job t ~worker ?batch_size job =
         ];
   (* Release the key BEFORE answering anyone: once a client has seen
      this verdict it may immediately send the same request again, and
-     that request must become a fresh solve (with a now-warm cache),
-     not attach to a flight that already finished. *)
+     that request must become a fresh solve, not attach to a flight
+     that already finished. *)
   let waiters =
     match job.coalesce_key with
     | None -> []
     | Some key -> Inflight.release t.inflight ~key
   in
-  deliver t ~coalesced:false ?batch_size job verdict;
+  deliver t ~coalesced:false job verdict;
   List.iter (fun waiter -> deliver t ~coalesced:true waiter verdict) waiters
 
-(* After popping a job, pull every queued request compatible with it
-   (same {!Batch.key}) onto this worker's pass and run them back to
-   back, each answered under its own envelope.  Consecutive execution
-   on one worker keeps the instance's shared state — access table,
-   shared evaluation cache, warm-start entries — checked out once per
-   pass in the common case instead of bouncing between workers. *)
-let worker_loop t worker () =
-  let rec loop () =
-    match Job_queue.pop t.queue with
-    | None -> ()
-    | Some job ->
-        (match job.batch_key with
-        | Some key when t.batch_limit > 1 -> (
-            let followers =
-              Job_queue.drain_matching ~limit:(t.batch_limit - 1) t.queue
-                (fun j ->
-                  match j.batch_key with
-                  | Some k -> String.equal k key
-                  | None -> false)
-            in
-            match followers with
-            | [] -> run_job t ~worker job
-            | _ :: _ ->
-                let group = job :: followers in
-                let size = List.length group in
-                Stats.record_batch t.stats ~size;
-                Trace.span "serve.batch"
-                  ~attrs:
-                    [ ("size", Trace.Int size); ("worker", Trace.Int worker) ]
-                  (fun () ->
-                    List.iter
-                      (fun j -> run_job t ~worker ~batch_size:size j)
-                      group))
-        | _ -> run_job t ~worker job);
-        loop ()
-  in
-  loop ()
+let rec worker_loop t worker () =
+  match Job_queue.pop t.queue with
+  | None -> ()
+  | Some job ->
+      run_job t ~worker job;
+      worker_loop t worker ()
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                          *)
 
 let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
-    ?(warm_capacity = 32) ?(coalescing = true) ?(batching = true)
-    ?(batch_limit = 16) ?(shared_capacity = 8) () =
-  if batch_limit < 2 then
-    invalid_arg "Service.create: batch_limit must be >= 2";
+    ?(coalescing = true) ?(shared_capacity = 8) () =
   if shared_capacity < 0 then
     invalid_arg "Service.create: shared_capacity must be >= 0";
-  let batch_limit = if batching then batch_limit else 1 in
   let recommended = Domain.recommended_domain_count () in
   let workers =
     match workers with
@@ -783,10 +718,8 @@ let create ?workers ?(queue_capacity = 64) ?(cache_capacity = 8)
     {
       queue = Job_queue.create ~capacity:queue_capacity;
       cache = Table_cache.create ~capacity:cache_capacity;
-      warm = Warm_start.create ~capacity:warm_capacity;
       inflight = Inflight.create ();
       coalescing;
-      batch_limit;
       shared =
         (if shared_capacity = 0 then None
          else Some (Core.Eval_cache.Shared.registry ~capacity:shared_capacity ()));
@@ -856,10 +789,7 @@ let handle_line ?(read_only = false) t line respond =
           let coalesce_key =
             if t.coalescing then Protocol.coalesce_key req else None
           in
-          let batch_key = if t.batch_limit > 1 then Batch.key req else None in
-          let job =
-            { req; respond; enqueued_at = now; deadline; coalesce_key; batch_key }
-          in
+          let job = { req; respond; enqueued_at = now; deadline; coalesce_key } in
           Mutex.lock t.pending_mutex;
           t.pending <- t.pending + 1;
           Mutex.unlock t.pending_mutex;

@@ -23,21 +23,6 @@
     with the shared verdict under their own envelope, marked
     [coalesced].  Requests carrying a deadline are exempt.
 
-    {b Warm starts.}  Each completed anneal's best trace is remembered
-    per (system, configuration) key ({!Warm_start}); the next anneal of
-    the same instance resumes from it instead of the cold heuristic
-    order, and can only improve on it.  The response says which with
-    its [warm_start] field.  A request with ["warm": false] skips the
-    lookup and searches cold (its result is still remembered).
-
-    {b Batching.}  Where coalescing needs identical simultaneous
-    requests, batching amortizes {e distinct but compatible} ones
-    (same system and configuration modulo order — {!Batch.key}): a
-    worker that pops a batchable job drains every compatible queued
-    request onto the same pass and runs them back to back, each
-    executed and answered individually ([batched]/[batch_size]
-    response markers; payloads byte-identical to sequential service).
-
     {b Shared evaluation caches.}  One {!Nocplan_core.Eval_cache} per
     (system, configuration) instance lives in a mutex-guarded,
     LRU-bounded registry ({!Nocplan_core.Eval_cache.Shared}).  A solve
@@ -46,6 +31,13 @@
     skip the engine run, and annealing chains from different requests
     resume each other's prefix traces.  Byte-identity of cached
     evaluation makes this invisible in the responses.
+
+    {b Purity.}  Every response's [result] payload — anneal included —
+    is a function of its request alone: a seeded request gets the same
+    answer from a fresh one-worker service as from one that has served
+    any history of other requests, on any number of workers.  Only the
+    envelope ([elapsed_ms], [cache], [coalesced]) describes how it was
+    served.
 
     {b Observability.}  Every response is counted ({!Stats});
     [metrics] requests are answered inline (never queued, so they
@@ -61,10 +53,7 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?warm_capacity:int ->
   ?coalescing:bool ->
-  ?batching:bool ->
-  ?batch_limit:int ->
   ?shared_capacity:int ->
   unit ->
   t
@@ -73,16 +62,13 @@ val create :
     left to the callers feeding the queue) and is clamped to
     [Domain.recommended_domain_count ()]; [queue_capacity] defaults to
     64 (0 is allowed and rejects everything — the backpressure test
-    hook); [cache_capacity] defaults to 8; [warm_capacity] defaults to
-    32 (0 disables cross-request warm starts); [coalescing] defaults
-    to [true] (false gives every request its own solve — the
-    uncoalesced baseline the bench compares against); [batching]
-    defaults to [true] ([false] runs every job alone) with at most
-    [batch_limit] (default 16) requests per batch pass;
-    [shared_capacity] (default 8) bounds the shared evaluation-cache
-    registry (0 disables it: every solve builds private state).
-    @raise Invalid_argument on a negative capacity, [workers < 1],
-    [batch_limit < 2] or [shared_capacity < 0]. *)
+    hook); [cache_capacity] defaults to 8; [coalescing] defaults to
+    [true] (false gives every request its own solve — the uncoalesced
+    baseline the bench compares against); [shared_capacity] (default
+    8) bounds the shared evaluation-cache registry (0 disables it:
+    every solve builds private state).
+    @raise Invalid_argument on a negative capacity, [workers < 1] or
+    [shared_capacity < 0]. *)
 
 val handle_line : ?read_only:bool -> t -> string -> (string list -> unit) -> unit
 (** Process one request line.  [respond] is called exactly once with

@@ -32,10 +32,6 @@ val record_coalesced : t -> op:string -> unit
 (** Count one request (by op label) that attached to another
     request's in-flight solve instead of getting its own. *)
 
-val record_batch : t -> size:int -> unit
-(** Count one shared batch pass grouping [size >= 2] compatible
-    requests; all [size] members count as batched. *)
-
 val record_backend : t -> backend:string -> latency_ms:float -> unit
 (** Count one planning-backend solve attempt (by backend name) and add
     its wall-clock latency to that backend's running total.  A [race]
@@ -72,15 +68,11 @@ type snapshot = {
       (** per-backend plans returned to clients (race: winners only) *)
   backend_latency_ms : (string * float) list;
       (** per-backend total solve wall-clock, milliseconds *)
-  batched : int;  (** requests served through shared batch passes *)
-  batches : int;  (** batch passes of size >= 2 *)
   fault_events : int;  (** fault targets handled by [replan] requests *)
   fault_replans : int;  (** [replan] requests that reached recovery *)
   fault_abandoned : int;  (** modules abandoned across them *)
   cache_hits : int;
   cache_misses : int;
-  warm_hits : int;  (** anneal runs seeded from the warm-start cache *)
-  warm_misses : int;
   shared_cache_hits : int;
       (** solves that resumed a resident shared evaluation cache *)
   shared_cache_misses : int;  (** solves that built a fresh one *)
@@ -94,8 +86,6 @@ val snapshot :
   t ->
   cache_hits:int ->
   cache_misses:int ->
-  warm_hits:int ->
-  warm_misses:int ->
   shared_cache_hits:int ->
   shared_cache_misses:int ->
   queue_depth:int ->

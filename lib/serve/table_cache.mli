@@ -41,9 +41,9 @@ val key :
   string
 (** The cache key for a system/application pair — the system
     fingerprint plus an application tag.  Exposed so sibling caches
-    (the service's warm-start cache) key their entries consistently
-    with this one: two requests that share a table entry share the
-    prefix of their warm-start key too. *)
+    (the service's shared evaluation caches) key their entries
+    consistently with this one: two requests that share a table entry
+    share the prefix of their evaluation-cache key too. *)
 
 val hits : t -> int
 val misses : t -> int

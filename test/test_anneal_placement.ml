@@ -187,10 +187,7 @@ let test_improvement_pct_zero_initial () =
     {
       Annealing.schedule = Schedule.of_entries [];
       system = sys;
-      best_trace =
-        Scheduler.run_traced sys (Scheduler.config ~reuse:1 ());
       initial_makespan = 0;
-      warm_started = false;
       evaluations = 1;
       accepted = 0;
       placement_evals = 0;
@@ -230,50 +227,6 @@ let test_ratio_zero_matches_historical () =
   Alcotest.(check int) "same accepted" a.Annealing.accepted
     b.Annealing.accepted
 
-(* --- warm starts ---------------------------------------------------- *)
-
-(* A warm-started search resumes from the cached best: whatever its own
-   chains find, it may never return a makespan worse than the trace it
-   was seeded with. *)
-let prop_warm_start_never_worse =
-  qcheck ~count:60 "warm start never worse than cached best"
-    QCheck2.Gen.(
-      Generators.system_gen_any >>= fun sys -> pair (return sys) bool)
-    (fun (sys, lookahead) ->
-      let policy =
-        if lookahead then Scheduler.Lookahead else Scheduler.Greedy
-      in
-      let reuse = List.length sys.System.processors in
-      match Annealing.schedule ~policy ~iterations:40 ~seed:1L ~reuse sys with
-      | exception Scheduler.Unschedulable _ -> true
-      | cold ->
-          let warm =
-            Annealing.schedule ~policy ~iterations:40 ~seed:2L
-              ~warm_start:cold.Annealing.best_trace ~reuse sys
-          in
-          let cold_makespan = cold.Annealing.schedule.Schedule.makespan in
-          warm.Annealing.warm_started
-          && warm.Annealing.schedule.Schedule.makespan <= cold_makespan
-          && warm.Annealing.initial_makespan = cold_makespan)
-
-let test_warm_start_mismatch_ignored () =
-  (* A trace from a different configuration must be rejected, and the
-     run must then be byte-identical to a cold one. *)
-  let sys = Experiments.d695_leon () in
-  let other = Annealing.schedule ~iterations:30 ~reuse:6 sys in
-  let warm =
-    Annealing.schedule ~iterations:30 ~seed:9L
-      ~warm_start:other.Annealing.best_trace ~reuse:3 sys
-  in
-  let cold = Annealing.schedule ~iterations:30 ~seed:9L ~reuse:3 sys in
-  Alcotest.(check bool) "mismatched trace rejected" false
-    warm.Annealing.warm_started;
-  Alcotest.(check int) "run is byte-identical to cold"
-    cold.Annealing.schedule.Schedule.makespan
-    warm.Annealing.schedule.Schedule.makespan;
-  Alcotest.(check int) "same evaluations" cold.Annealing.evaluations
-    warm.Annealing.evaluations
-
 let test_swap_tiles_rejects_pinned () =
   let sys = d695_torus () in
   let proc =
@@ -300,9 +253,6 @@ let suite =
       test_placement_moves_validated;
     Alcotest.test_case "ratio 0 matches historical annealer" `Quick
       test_ratio_zero_matches_historical;
-    prop_warm_start_never_worse;
-    Alcotest.test_case "mismatched warm start ignored" `Quick
-      test_warm_start_mismatch_ignored;
     Alcotest.test_case "pinned processors stay pinned" `Quick
       test_swap_tiles_rejects_pinned;
   ]

@@ -516,6 +516,11 @@ let test_coalesce_key_semantics () =
   Alcotest.(check bool) "id excluded" true
     (key base
     = key {|{"id": "other", "op": "anneal", "system": "d695_leon", "reuse": 2}|});
+  (* Nor is an unknown field: "warm" is not part of the protocol, so
+     a client that still sends it asks the same question. *)
+  Alcotest.(check bool) "warm ignored" true
+    (key base
+    = key {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "warm": false}|});
   (* Every result-shaping field is. *)
   List.iter
     (fun variant ->
@@ -534,7 +539,6 @@ let test_coalesce_key_semantics () =
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "iterations": 500}|};
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "chains": 3}|};
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "placement_moves": 0.4}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "warm": false}|};
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "power_pct": 50}|};
       {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "application": "decompress"}|};
       {|{"op": "anneal", "system": "d695", "leons": 2, "reuse": 2}|};
@@ -614,73 +618,6 @@ let test_socket_coalesced_identical_requests () =
             (field "anneal" (field "coalesced" result) = Json.Int (n - 1));
           Alcotest.(check bool) "one table build" true
             (field "cache_misses" result = Json.Int 1)))
-
-(* --- batching -------------------------------------------------------- *)
-
-let test_batch_key_semantics () =
-  let key line = Serve.Batch.key (parse_req line) in
-  let base = {|{"id": 1, "op": "plan", "system": "d695_leon", "reuse": 2}|} in
-  (* Search parameters stay out of the compatibility key: distinct
-     questions about the same (system, configuration) pair share one
-     batch pass. *)
-  List.iter
-    (fun variant ->
-      Alcotest.(check bool) ("compatible: " ^ variant) true
-        (key base <> None && key base = key variant))
-    [
-      {|{"id": 2, "op": "plan", "system": "d695_leon", "reuse": 2}|};
-      {|{"op": "validate", "system": "d695_leon", "reuse": 2}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "seed": 9}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "iterations": 60, "chains": 2}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "warm": false}|};
-      {|{"op": "anneal", "system": "d695_leon", "reuse": 2, "placement_moves": 0.3}|};
-    ];
-  (* Everything that picks a different (system, configuration) key
-     must land in a different group. *)
-  List.iter
-    (fun variant ->
-      Alcotest.(check bool) ("incompatible: " ^ variant) false
-        (key base = key variant))
-    [
-      {|{"op": "plan", "system": "d695_leon", "reuse": 3}|};
-      {|{"op": "plan", "system": "p22810_leon", "reuse": 2}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "policy": "lookahead"}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "power_pct": 50}|};
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "application": "decompress"}|};
-      {|{"op": "plan", "system": "d695", "leons": 2, "reuse": 2}|};
-    ];
-  (* Deadline requests must not be reordered behind a batch, and the
-     stateful / observability ops never batch. *)
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) ("exempt: " ^ line) true (key line = None))
-    [
-      {|{"op": "plan", "system": "d695_leon", "reuse": 2, "deadline_ms": 50}|};
-      {|{"op": "sweep", "system": "d695_leon", "max_reuse": 2}|};
-      {|{"op": "replan", "system": "d695_leon", "at": 100, "failed_links": ["1,0>2,0"]}|};
-      {|{"op": "preempt", "system": "d695_leon", "max_sessions": 2}|};
-      {|{"op": "metrics"}|};
-    ];
-  Alcotest.(check bool) "compatible helper agrees" true
-    (Serve.Batch.compatible (parse_req base)
-       (parse_req {|{"op": "validate", "system": "d695_leon", "reuse": 2}|}));
-  Alcotest.(check bool) "exempt never compatible with itself" false
-    (let m = parse_req {|{"op": "metrics"}|} in
-     Serve.Batch.compatible m m)
-
-let test_job_queue_drain_matching () =
-  let q = Serve.Job_queue.create ~capacity:8 in
-  List.iter (fun i -> ignore (Serve.Job_queue.push q i)) [ 1; 2; 3; 4; 5; 6 ];
-  Alcotest.(check (list int)) "takes matches in order, bounded" [ 2; 4 ]
-    (Serve.Job_queue.drain_matching ~limit:2 q (fun i -> i mod 2 = 0));
-  Alcotest.(check (list int)) "no match, no change" []
-    (Serve.Job_queue.drain_matching q (fun i -> i > 100));
-  (* The survivors keep their relative order. *)
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Serve.Job_queue.pop q);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Serve.Job_queue.pop q);
-  Alcotest.(check (list int)) "drain the rest" [ 5; 6 ]
-    (Serve.Job_queue.drain_matching q (fun _ -> true));
-  Alcotest.(check int) "empty" 0 (Serve.Job_queue.depth q)
 
 (* --- shared evaluation-cache registry -------------------------------- *)
 
@@ -789,157 +726,6 @@ let test_annealing_adopts_matching_cache () =
   Alcotest.(check int) "mismatched cache left empty" 0
     (List.length (Core.Eval_cache.traces mismatched))
 
-let test_socket_batched_compatible_requests () =
-  (* One slow anneal occupies the single worker while four compatible
-     plans (distinct seeds, so coalescing cannot merge them) pile up
-     behind it: the next pop drains them as one batch.  Every response
-     stays byte-identical to the sequential answer, and the envelope
-     carries the batch markers. *)
-  with_server (fun path ->
-      with_client path (fun ic oc ->
-          output_string oc
-            "{\"id\": 0, \"op\": \"anneal\", \"system\": \"d695_leon\", \
-             \"reuse\": 3, \"iterations\": 2000}\n";
-          for i = 1 to 4 do
-            output_string oc
-              (Printf.sprintf
-                 "{\"id\": %d, \"op\": \"plan\", \"system\": \"d695_leon\", \
-                  \"reuse\": 2, \"seed\": %d}\n"
-                 i i)
-          done;
-          flush oc;
-          let responses = List.init 5 (fun _ -> parse_response (input_line ic)) in
-          List.iter
-            (fun r ->
-              Alcotest.(check bool) "ok" true (field "ok" r = Json.Bool true))
-            responses;
-          let plans =
-            List.filter (fun r -> field "op" r = Json.String "plan") responses
-          in
-          Alcotest.(check int) "four plans answered" 4 (List.length plans);
-          let expected = result_string (List.hd plans) in
-          List.iter
-            (fun r ->
-              Alcotest.(check string) "plans byte-identical" expected
-                (result_string r))
-            plans;
-          let batched =
-            List.filter (fun r -> Json.member "batched" r = Some (Json.Bool true))
-              plans
-          in
-          Alcotest.(check int) "all four share one batch pass" 4
-            (List.length batched);
-          List.iter
-            (fun r ->
-              Alcotest.(check bool) "batch size marker" true
-                (field "batch_size" r = Json.Int 4))
-            batched;
-          let metrics = roundtrip ic oc "{\"op\": \"metrics\"}" in
-          let result = field "result" metrics in
-          Alcotest.(check bool) "batched counter" true
-            (field "batched" result = Json.Int 4);
-          Alcotest.(check bool) "batches counter" true
-            (field "batches" result = Json.Int 1);
-          (match field "shared_cache_hits" result with
-          | Json.Int n -> Alcotest.(check bool) "shared cache carried" true (n >= 3)
-          | _ -> Alcotest.fail "shared_cache_hits not an int")))
-
-let test_service_warm_false_disables_warm_start () =
-  let service = Serve.Service.create ~workers:1 () in
-  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
-  let anneal extra =
-    let resp =
-      parse_response
-        (Serve.Service.request service
-           (Printf.sprintf
-              "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"reuse\": 2, \
-               \"iterations\": 60, \"seed\": 4%s}"
-              extra))
-    in
-    Alcotest.(check bool) "ok" true (field "ok" resp = Json.Bool true);
-    result_string resp
-  in
-  let cold = anneal "" in
-  (* The repeat opts out of the warm LRU: same cold trajectory, and no
-     warm hit is counted. *)
-  Alcotest.(check string) "warm:false repeats the cold run" cold
-    (anneal ", \"warm\": false");
-  let metrics =
-    parse_response (Serve.Service.request service "{\"op\": \"metrics\"}")
-  in
-  Alcotest.(check bool) "no warm hits" true
-    (field "warm_hits" (field "result" metrics) = Json.Int 0)
-
-(* --- warm starts across requests ------------------------------------ *)
-
-let test_service_warm_start_across_requests () =
-  let service = Serve.Service.create ~workers:1 () in
-  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
-  let anneal seed =
-    let resp =
-      parse_response
-        (Serve.Service.request service
-           (Printf.sprintf
-              "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"reuse\": 2, \
-               \"iterations\": 100, \"seed\": %d}"
-              seed))
-    in
-    let result = field "result" resp in
-    ( field "warm_start" result,
-      match field "makespan" result with
-      | Json.Int m -> m
-      | _ -> Alcotest.fail "makespan not an int" )
-  in
-  let warm1, m1 = anneal 1 in
-  Alcotest.(check bool) "first run is cold" true (warm1 = Json.Bool false);
-  (* A different seed is a different search of the same instance: it
-     must resume from the first run's best and never do worse. *)
-  let warm2, m2 = anneal 2 in
-  Alcotest.(check bool) "second run warm" true (warm2 = Json.Bool true);
-  Alcotest.(check bool) "never worse than cached best" true (m2 <= m1);
-  (* A different configuration is a different key: cold again. *)
-  let resp =
-    parse_response
-      (Serve.Service.request service
-         "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"reuse\": 3, \
-          \"iterations\": 100}")
-  in
-  Alcotest.(check bool) "other reuse is cold" true
-    (field "warm_start" (field "result" resp) = Json.Bool false);
-  let metrics = parse_response (Serve.Service.request service "{\"op\": \"metrics\"}") in
-  let result = field "result" metrics in
-  Alcotest.(check bool) "one warm hit" true
-    (field "warm_hits" result = Json.Int 1);
-  Alcotest.(check bool) "two warm misses" true
-    (field "warm_misses" result = Json.Int 2)
-
-let test_warm_start_lru_monotone () =
-  let sys = Util.small_system () in
-  let trace_of_order order =
-    Core.Scheduler.run_traced sys
-      (Core.Scheduler.config ~reuse:1 ?order ())
-  in
-  let best = trace_of_order None in
-  let lru = Serve.Warm_start.create ~capacity:2 in
-  Alcotest.(check bool) "miss on empty" true
-    (Serve.Warm_start.find lru ~key:"k" = None);
-  Serve.Warm_start.note lru ~key:"k" best;
-  (match Serve.Warm_start.find lru ~key:"k" with
-  | Some t ->
-      Alcotest.(check int) "stored trace" (* same schedule *)
-        (Core.Scheduler.trace_schedule best).Core.Schedule.makespan
-        (Core.Scheduler.trace_schedule t).Core.Schedule.makespan
-  | None -> Alcotest.fail "note then find missed");
-  Alcotest.(check int) "hits" 1 (Serve.Warm_start.hits lru);
-  Alcotest.(check int) "misses" 1 (Serve.Warm_start.misses lru);
-  (* Capacity 0 disables the cache entirely. *)
-  let off = Serve.Warm_start.create ~capacity:0 in
-  Serve.Warm_start.note off ~key:"k" best;
-  Alcotest.(check bool) "disabled cache never stores" true
-    (Serve.Warm_start.find off ~key:"k" = None);
-  Alcotest.(check int) "disabled cache stays empty" 0
-    (Serve.Warm_start.length off)
-
 (* --- TCP and read-only listeners ------------------------------------ *)
 
 let with_tcp_client port f =
@@ -1039,9 +825,6 @@ let suite =
     Alcotest.test_case "coalesce key semantics" `Quick
       test_coalesce_key_semantics;
     Alcotest.test_case "inflight registry" `Quick test_inflight_registry;
-    Alcotest.test_case "batch key semantics" `Quick test_batch_key_semantics;
-    Alcotest.test_case "job queue drain matching" `Quick
-      test_job_queue_drain_matching;
     Alcotest.test_case "shared registry checkout and checkin" `Quick
       test_shared_registry_checkout_checkin;
     Alcotest.test_case "shared registry concurrent checkout merges" `Quick
@@ -1050,16 +833,8 @@ let suite =
       test_shared_registry_eviction;
     Alcotest.test_case "annealing adopts matching eval cache" `Quick
       test_annealing_adopts_matching_cache;
-    Alcotest.test_case "socket: compatible requests batch to one pass" `Quick
-      test_socket_batched_compatible_requests;
-    Alcotest.test_case "warm:false disables the warm start" `Quick
-      test_service_warm_false_disables_warm_start;
     Alcotest.test_case "socket: identical requests coalesce to one solve"
       `Quick test_socket_coalesced_identical_requests;
-    Alcotest.test_case "warm start carries across requests" `Quick
-      test_service_warm_start_across_requests;
-    Alcotest.test_case "warm start lru monotone and bounded" `Quick
-      test_warm_start_lru_monotone;
     Alcotest.test_case "tcp and read-only listeners" `Quick
       test_tcp_and_read_only_listener;
   ]

@@ -1,16 +1,12 @@
-(* Property: batching is invisible in the payload.  A burst of
-   generated requests served by a batching service (shared evaluation
-   caches on, concurrent submitters, so grouping actually engages)
-   must produce, request for request, byte-identical verdicts to a
-   sequential one-worker service with batching and sharing disabled —
-   the PR-6 request path.  Only the envelope's scheduling markers
-   (elapsed_ms, cache, batched/batch_size) may differ.
-
-   Anneal requests carry [warm: false]: the warm-start LRU is the one
-   deliberately order-sensitive piece of the service, and a concurrent
-   burst has no defined arrival order to replay.  Everything else —
-   plan, validate, anneal trajectories, unschedulable verdicts — must
-   not care who shared a batch pass with whom. *)
+(* Property: every serve answer is a pure function of its request.  A
+   service that has already served a random history of requests, then
+   takes a burst of generated requests from concurrent submitters on
+   two workers (shared evaluation caches and coalescing on, as
+   deployed), must answer each request — history included — exactly as
+   a fresh one-worker service that has seen nothing else would.  Only
+   the envelope fields describing how a request was served
+   (elapsed_ms, cache, coalesced) may differ; the result or error
+   payload, anneal trajectories included, must be byte-identical. *)
 
 module Serve = Nocplan_serve
 module Itc02 = Nocplan_itc02
@@ -36,12 +32,15 @@ let shape_gen =
   let* power_pct = oneofl [ None; Some 100 ] in
   return { op; reuse; policy; seed; iterations; power_pct }
 
-(* One generated SoC shared by the whole burst (batching groups on the
-   system), served inline so the batch never depends on builtins. *)
-let burst_gen =
+(* One generated SoC shared by the whole case (so history and burst
+   hit the same instances), served inline so the case never depends
+   on builtins.  The history runs first, one request at a time; the
+   burst follows all at once. *)
+let case_gen =
   let* soc = Generators.soc_gen in
-  let* shapes = list_size (int_range 4 8) shape_gen in
-  return (Itc02.Printer.to_string soc, shapes)
+  let* history = list_size (int_range 0 6) shape_gen in
+  let* burst = list_size (int_range 4 8) shape_gen in
+  return (Itc02.Printer.to_string soc, history, burst)
 
 let request_line ~soc_text i s =
   let extras =
@@ -50,9 +49,7 @@ let request_line ~soc_text i s =
     | None -> "")
     ^
     if s.op = "anneal" then
-      Printf.sprintf
-        ", \"seed\": %d, \"iterations\": %d, \"warm\": false" s.seed
-        s.iterations
+      Printf.sprintf ", \"seed\": %d, \"iterations\": %d" s.seed s.iterations
     else Printf.sprintf ", \"seed\": %d" s.seed
   in
   Printf.sprintf
@@ -62,61 +59,61 @@ let request_line ~soc_text i s =
     (Json.to_string (Json.String soc_text))
     s.reuse s.policy extras
 
-(* The verdict is the ok flag plus the result or error payload; the
-   envelope's timing and scheduling markers are the service's own
-   business. *)
-let verdict line =
+(* The response with the serving-history fields dropped: everything
+   left must depend on the request alone. *)
+let answer line =
   match Json.parse line with
-  | Error e -> Printf.sprintf "unparseable %s: %s" line e
-  | Ok json ->
-      let part name =
-        match Json.member name json with
-        | Some v -> Json.to_string v
-        | None -> "-"
-      in
-      String.concat "|" [ part "ok"; part "result"; part "error" ]
+  | Ok (Json.Obj fields) ->
+      Json.to_string
+        (Json.Obj
+           (List.filter
+              (fun (k, _) ->
+                not (List.mem k [ "elapsed_ms"; "cache"; "coalesced" ]))
+              fields))
+  | Ok _ | Error _ -> Printf.sprintf "unparseable %s" line
 
-let id_of line =
-  match Option.bind (Result.to_option (Json.parse line)) (Json.member "id") with
-  | Some (Json.Int i) -> i
-  | _ -> -1
+let fresh_answer line =
+  let service = Serve.Service.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  Serve.Service.request service line
 
-let prop (soc_text, shapes) =
-  let lines = List.mapi (request_line ~soc_text) shapes in
-  let n = List.length lines in
-  (* Sequential reference: one worker, no batching, no shared caches. *)
-  let sequential =
+let prop (soc_text, history, burst) =
+  let h = List.length history in
+  let history_lines = List.mapi (request_line ~soc_text) history in
+  let burst_lines =
+    List.mapi (fun i s -> request_line ~soc_text (h + i) s) burst
+  in
+  let served =
     let service =
-      Serve.Service.create ~workers:1 ~batching:false ~shared_capacity:0 ()
+      Serve.Service.create ~workers:2
+        ~queue_capacity:(2 * List.length burst)
+        ()
     in
     Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
-    List.map (fun line -> Serve.Service.request service line) lines
-  in
-  (* Batched burst: every request submitted at once from its own
-     thread, so the queue is deep enough for drain_matching to group. *)
-  let batched =
-    let service = Serve.Service.create ~workers:2 ~queue_capacity:(2 * n) () in
-    Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
-    let responses = Array.make n "" in
-    let submit i line = responses.(i) <- Serve.Service.request service line in
-    let threads = List.mapi (fun i line -> Thread.create (submit i) line) lines in
+    let before = List.map (Serve.Service.request service) history_lines in
+    let responses = Array.make (List.length burst_lines) "" in
+    let submit (i, line) =
+      responses.(i) <- Serve.Service.request service line
+    in
+    let threads =
+      List.mapi (fun i line -> Thread.create submit (i, line)) burst_lines
+    in
     List.iter Thread.join threads;
-    Array.to_list responses
+    before @ Array.to_list responses
   in
   List.iteri
-    (fun i (seq : string) ->
-      let batch = List.nth batched i in
-      if id_of batch <> i then
-        QCheck2.Test.fail_reportf "response %d echoes id %d" i (id_of batch);
-      if verdict seq <> verdict batch then
+    (fun i (line, response) ->
+      let expected = answer (fresh_answer line) in
+      if answer response <> expected then
         QCheck2.Test.fail_reportf
-          "request %d diverged@.sequential: %s@.batched:    %s"
-          i (verdict seq) (verdict batch))
-    sequential;
+          "request %d (after %d history requests) depends on what the \
+           server served before it@.fresh:  %s@.served: %s"
+          i h expected (answer response))
+    (List.combine (history_lines @ burst_lines) served);
   true
 
 let suite =
   [
-    Util.qcheck ~count:8 "batched responses match sequential service"
-      burst_gen prop;
+    Util.qcheck ~count:8 "every answer matches a fresh one-worker service"
+      case_gen prop;
   ]
