@@ -227,6 +227,68 @@ let test_ratio_zero_matches_historical () =
   Alcotest.(check int) "same accepted" a.Annealing.accepted
     b.Annealing.accepted
 
+(* --- borrowed evaluation caches -------------------------------------- *)
+
+(* A search may borrow an evaluation cache that another search of the
+   same instance filled (the serve path shares one per instance).  Its
+   result must be exactly the cold run's: the cache changes how fast
+   orders are evaluated, never which. *)
+let same_result a b =
+  a.Annealing.initial_makespan = b.Annealing.initial_makespan
+  && a.Annealing.evaluations = b.Annealing.evaluations
+  && a.Annealing.accepted = b.Annealing.accepted
+  && a.Annealing.placement_evals = b.Annealing.placement_evals
+  && a.Annealing.placement_accepted = b.Annealing.placement_accepted
+  && String.equal
+       (Core.Export.schedule_json a.Annealing.system a.Annealing.schedule)
+       (Core.Export.schedule_json b.Annealing.system b.Annealing.schedule)
+
+let prop_borrowed_cache_invisible =
+  qcheck ~count:40 "borrowed eval cache never changes the result"
+    QCheck2.Gen.(
+      Generators.system_gen_any >>= fun sys ->
+      triple (return sys) bool (oneofl [ 0.0; 0.4 ]))
+    (fun (sys, lookahead, placement_moves) ->
+      let policy =
+        if lookahead then Scheduler.Lookahead else Scheduler.Greedy
+      in
+      let reuse = List.length sys.System.processors in
+      let cache =
+        Core.Eval_cache.create sys (Scheduler.config ~policy ~reuse ())
+      in
+      let run ?eval_cache seed =
+        Annealing.schedule ~policy ~iterations:30 ~seed ~placement_moves
+          ?eval_cache ~reuse sys
+      in
+      match run ~eval_cache:cache 1L with
+      | exception Scheduler.Unschedulable _ -> true
+      | _ -> same_result (run 2L) (run ~eval_cache:cache 2L))
+
+let test_borrowed_cache_serves_repeat () =
+  (* A repeat of a short search through the cache the first run left
+     filled finds its evaluations there as exact hits — the speed-up
+     the serve path shares caches for — and still returns exactly the
+     cold answer. *)
+  let sys = Experiments.d695_leon () in
+  let run ?eval_cache () =
+    Annealing.schedule ~iterations:3 ~seed:5L ?eval_cache ~reuse:2 sys
+  in
+  let cache = Core.Eval_cache.create sys (Scheduler.config ~reuse:2 ()) in
+  ignore (run ~eval_cache:cache ());
+  let exact_hits () =
+    (Core.Eval_cache.stats cache).Core.Eval_cache.exact_hits
+  in
+  let before = exact_hits () in
+  let repeat = run ~eval_cache:cache () in
+  (* [evaluations] counts the shared initial run, made outside the
+     cache; every other evaluation repeats one the first run made. *)
+  Alcotest.(check bool) "the repeat evaluated through the cache" true
+    (repeat.Annealing.evaluations > 1);
+  Alcotest.(check int) "every repeated evaluation is an exact hit"
+    (repeat.Annealing.evaluations - 1) (exact_hits () - before);
+  Alcotest.(check bool) "same result as a cold search" true
+    (same_result (run ()) repeat)
+
 let test_swap_tiles_rejects_pinned () =
   let sys = d695_torus () in
   let proc =
@@ -253,6 +315,9 @@ let suite =
       test_placement_moves_validated;
     Alcotest.test_case "ratio 0 matches historical annealer" `Quick
       test_ratio_zero_matches_historical;
+    prop_borrowed_cache_invisible;
+    Alcotest.test_case "borrowed cache serves a repeated search" `Quick
+      test_borrowed_cache_serves_repeat;
     Alcotest.test_case "pinned processors stay pinned" `Quick
       test_swap_tiles_rejects_pinned;
   ]

@@ -170,6 +170,83 @@ let test_queue_drains_after_close () =
   Alcotest.(check (option string)) "drain b" (Some "b") (Serve.Job_queue.pop q);
   Alcotest.(check (option string)) "then closed" None (Serve.Job_queue.pop q)
 
+(* Poll [cond] until it holds or [seconds] pass; a wait that never
+   ends fails the test instead of hanging the suite. *)
+let await ?(seconds = 5.0) what cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
+let test_queue_close_wakes_blocked_consumers () =
+  (* Workers parked in [pop] on an empty queue: a push wakes exactly
+     one with the item, and closing wakes the rest with [None] — the
+     service's shutdown depends on it. *)
+  let q = Serve.Job_queue.create ~capacity:4 in
+  let results = ref [] and m = Mutex.create () in
+  let consumer () =
+    let r = Serve.Job_queue.pop q in
+    Mutex.protect m (fun () -> results := r :: !results)
+  in
+  let count () = Mutex.protect m (fun () -> List.length !results) in
+  let consumers = List.init 3 (fun _ -> Thread.create consumer ()) in
+  Thread.delay 0.05;
+  Alcotest.(check int) "all parked on the empty queue" 0 (count ());
+  Alcotest.(check bool) "push" true (Serve.Job_queue.push q 42);
+  await "one consumer to take the item" (fun () -> count () = 1);
+  Alcotest.(check (list (option int))) "the item went to one consumer"
+    [ Some 42 ] !results;
+  Serve.Job_queue.close q;
+  await "close to wake the parked consumers" (fun () -> count () = 3);
+  List.iter Thread.join consumers;
+  Alcotest.(check (list (option int))) "the others woke closed"
+    [ None; None; Some 42 ]
+    (List.sort compare !results)
+
+let test_queue_concurrent_producers_consumers () =
+  (* Three producers race 400 items each through a small queue to two
+     consumers: nothing is lost or duplicated, and every consumer sees
+     any one producer's items in push order. *)
+  let producers = 3 and per = 400 in
+  let q = Serve.Job_queue.create ~capacity:8 in
+  let produce p =
+    for i = 0 to per - 1 do
+      while not (Serve.Job_queue.push q (p, i)) do
+        Thread.yield ()
+      done
+    done
+  in
+  let consume out =
+    let rec loop () =
+      match Serve.Job_queue.pop q with
+      | Some x ->
+          out := x :: !out;
+          loop ()
+      | None -> ()
+    in
+    loop ()
+  in
+  let outs = [ ref []; ref [] ] in
+  let consumers = List.map (fun out -> Thread.create consume out) outs in
+  List.iter Thread.join (List.init producers (Thread.create produce));
+  Serve.Job_queue.close q;
+  List.iter Thread.join consumers;
+  let received = List.concat_map (fun out -> !out) outs in
+  Alcotest.(check (list (pair int int))) "every item exactly once"
+    (List.concat (List.init producers (fun p -> List.init per (fun i -> (p, i)))))
+    (List.sort compare received);
+  List.iter
+    (fun out ->
+      let seen = List.rev !out in
+      for p = 0 to producers - 1 do
+        let mine = List.filter_map (fun (q, i) -> if q = p then Some i else None) seen in
+        Alcotest.(check (list int))
+          (Printf.sprintf "producer %d in push order" p)
+          (List.sort compare mine) mine
+      done)
+    outs
+
 (* --- protocol ------------------------------------------------------- *)
 
 let parse_err line =
@@ -315,6 +392,55 @@ let test_service_anneal_matches_direct () =
   Alcotest.(check bool) "exchanges match direct" true
     (field "exchanges" result = Json.Int expected.Core.Annealing.exchanges);
   Serve.Service.shutdown service
+
+let anneal_line ?(extra = "") seed =
+  Printf.sprintf
+    "{\"op\": \"anneal\", \"system\": \"d695_leon\", \"reuse\": 2, \
+     \"iterations\": 100, \"seed\": %d%s}"
+    seed extra
+
+let with_service f =
+  let service = Serve.Service.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) (fun () ->
+      f service)
+
+let ask service line =
+  let resp = parse_response (Serve.Service.request service line) in
+  Alcotest.(check bool) "ok" true (field "ok" resp = Json.Bool true);
+  field "result" resp
+
+let test_service_anneal_independent_of_history () =
+  (* A seeded anneal answers the same payload whatever the service
+     solved before: the same request before and after another search
+     of the same instance, and a fresh service's answer to that other
+     search.  The searches do share the instance's evaluation cache —
+     that is what must stay invisible. *)
+  with_service @@ fun service ->
+  let first = ask service (anneal_line 1) in
+  let other = ask service (anneal_line 2) in
+  let again = ask service (anneal_line 1) in
+  Alcotest.(check string) "repeat after another search" (Json.to_string first)
+    (Json.to_string again);
+  let fresh = with_service (fun s -> ask s (anneal_line 2)) in
+  Alcotest.(check string) "same as a fresh service" (Json.to_string fresh)
+    (Json.to_string other);
+  Alcotest.(check bool) "no warm-start marker" true
+    (Json.member "warm_start" other = None);
+  let metrics = ask service "{\"op\": \"metrics\"}" in
+  Alcotest.(check bool) "later searches resumed the shared cache" true
+    (field "shared_cache_hits" metrics = Json.Int 2)
+
+let test_service_ignores_warm_field () =
+  (* "warm" is not part of the protocol: like any unknown field it is
+     ignored, whatever its value or type, so a client that still sends
+     it gets the plain answer. *)
+  with_service @@ fun service ->
+  let plain = Json.to_string (ask service (anneal_line 3)) in
+  List.iter
+    (fun extra ->
+      Alcotest.(check string) ("ignored:" ^ extra) plain
+        (Json.to_string (ask service (anneal_line ~extra 3))))
+    [ ", \"warm\": false"; ", \"warm\": true"; ", \"warm\": \"yes\"" ]
 
 (* --- socket transport, end to end ---------------------------------- *)
 
@@ -619,6 +745,55 @@ let test_socket_coalesced_identical_requests () =
           Alcotest.(check bool) "one table build" true
             (field "cache_misses" result = Json.Int 1)))
 
+let test_socket_queued_plans_share_eval_cache () =
+  (* One slow anneal occupies the single worker while four plans of
+     one instance (distinct seeds, so coalescing cannot merge them)
+     queue behind it.  Each is solved on its own — no response carries
+     a batch marker — yet all four equal the direct plan, and the
+     later three resume the evaluation cache the first left behind. *)
+  let system = d695 () in
+  let expected =
+    Json.to_string
+      (Result.get_ok
+         (Json.parse
+            (Core.Export.schedule_json system
+               (Core.Planner.schedule ~reuse:2 system))))
+  in
+  with_server (fun path ->
+      with_client path (fun ic oc ->
+          output_string oc
+            "{\"id\": 0, \"op\": \"anneal\", \"system\": \"d695_leon\", \
+             \"reuse\": 3, \"iterations\": 2000}\n";
+          for i = 1 to 4 do
+            output_string oc
+              (Printf.sprintf
+                 "{\"id\": %d, \"op\": \"plan\", \"system\": \"d695_leon\", \
+                  \"reuse\": 2, \"seed\": %d}\n"
+                 i i)
+          done;
+          flush oc;
+          let responses = List.init 5 (fun _ -> parse_response (input_line ic)) in
+          let plans =
+            List.filter (fun r -> field "op" r = Json.String "plan") responses
+          in
+          Alcotest.(check int) "four plans answered" 4 (List.length plans);
+          List.iter
+            (fun r ->
+              Alcotest.(check bool) "ok" true (field "ok" r = Json.Bool true);
+              Alcotest.(check string) "plan equals direct" expected
+                (result_string r);
+              List.iter
+                (fun k ->
+                  Alcotest.(check bool) ("no " ^ k ^ " marker") true
+                    (Json.member k r = None))
+                [ "batched"; "batch_size"; "coalesced" ])
+            plans;
+          let metrics = field "result" (roundtrip ic oc "{\"op\": \"metrics\"}") in
+          Alcotest.(check bool) "later plans resumed the first's cache" true
+            (field "shared_cache_hits" metrics = Json.Int 3);
+          Alcotest.(check bool) "one fresh cache per instance" true
+            (field "shared_cache_misses" metrics = Json.Int 2)))
+
 (* --- shared evaluation-cache registry -------------------------------- *)
 
 let test_shared_registry_checkout_checkin () =
@@ -788,6 +963,91 @@ let test_tcp_and_read_only_listener () =
   Alcotest.(check bool) "refusal counted as rejected" true
     (field "rejected" (field "result" metrics) = Json.Int 1)
 
+let test_tcp_connection_burst () =
+  (* A burst of simultaneous connects, more than the 64-entry listen
+     backlog the listeners once had, all open before any is used:
+     every connection is accepted and answered on its own line. *)
+  let n = 100 in
+  let service = Serve.Service.create ~workers:1 () in
+  let listener = Serve.Server.listen_tcp service ~host:"127.0.0.1" ~port:0 in
+  let port = Option.get (Serve.Server.port listener) in
+  let fds = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fds;
+      Serve.Server.stop listener;
+      Serve.Server.wait listener;
+      Serve.Service.shutdown service)
+  @@ fun () ->
+  for _ = 1 to n do
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    fds := fd :: !fds;
+    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port))
+  done;
+  let chans =
+    List.map
+      (fun fd -> (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd))
+      (List.rev !fds)
+  in
+  List.iteri
+    (fun i (_, oc) ->
+      Printf.fprintf oc "{\"id\": %d, \"op\": \"metrics\"}\n%!" i)
+    chans;
+  List.iteri
+    (fun i (ic, _) ->
+      let resp = parse_response (input_line ic) in
+      Alcotest.(check bool) "answered" true (field "ok" resp = Json.Bool true);
+      Alcotest.(check bool) "on its own connection" true
+        (field "id" resp = Json.Int i))
+    chans
+
+let test_metrics_series_names () =
+  (* The metrics snapshot and the Prometheus exposition name exactly
+     the documented series (README, OBSERVABILITY): nothing left over
+     from removed mechanisms, nothing added unnoticed. *)
+  with_service @@ fun service ->
+  let metrics = ask service "{\"op\": \"metrics\"}" in
+  let keys =
+    match metrics with
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "metrics result not an object"
+  in
+  Alcotest.(check (list string)) "metrics fields"
+    [
+      "served"; "failed"; "rejected"; "timeouts"; "coalesced";
+      "backend_solves"; "backend_wins"; "backend_latency_ms";
+      "fault_events"; "fault_replans"; "fault_abandoned"; "cache_hits";
+      "cache_misses"; "shared_cache_hits"; "shared_cache_misses";
+      "queue_depth"; "queue_capacity"; "workers"; "latency_ms";
+    ]
+    keys;
+  let text =
+    match ask service "{\"op\": \"prometheus\"}" with
+    | Json.String text -> text
+    | _ -> Alcotest.fail "prometheus result not a string"
+  in
+  let families =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "#"; "TYPE"; name; _ ] -> Some name
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check (list string)) "prometheus families"
+    [
+      "nocplan_requests_total"; "nocplan_cache_hits_total";
+      "nocplan_cache_misses_total"; "nocplan_coalesced_total";
+      "nocplan_fault_events_total"; "nocplan_fault_replans_total";
+      "nocplan_fault_abandoned_total"; "nocplan_backend_solves_total";
+      "nocplan_backend_wins_total"; "nocplan_backend_latency_ms_total";
+      "nocplan_shared_cache_hits_total"; "nocplan_queue_depth";
+      "nocplan_queue_capacity"; "nocplan_workers"; "nocplan_uptime_seconds";
+      "nocplan_worker_jobs_total"; "nocplan_worker_busy_microseconds_total";
+      "nocplan_request_latency_ms";
+    ]
+    families
+
 let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
@@ -805,6 +1065,10 @@ let suite =
       test_queue_fifo_and_bound;
     Alcotest.test_case "job queue drains after close" `Quick
       test_queue_drains_after_close;
+    Alcotest.test_case "job queue close wakes blocked consumers" `Quick
+      test_queue_close_wakes_blocked_consumers;
+    Alcotest.test_case "job queue concurrent producers and consumers" `Quick
+      test_queue_concurrent_producers_consumers;
     Alcotest.test_case "protocol validation" `Quick test_protocol_validation;
     Alcotest.test_case "protocol fault fields" `Quick
       test_protocol_fault_fields;
@@ -816,6 +1080,11 @@ let suite =
       test_service_unschedulable_kind;
     Alcotest.test_case "service anneal matches direct" `Quick
       test_service_anneal_matches_direct;
+    Alcotest.test_case "seeded anneal independent of history" `Quick
+      test_service_anneal_independent_of_history;
+    Alcotest.test_case "warm field ignored" `Quick
+      test_service_ignores_warm_field;
+    Alcotest.test_case "metrics series names" `Quick test_metrics_series_names;
     Alcotest.test_case "socket: concurrent clients match direct" `Quick
       test_socket_concurrent_clients_match_direct;
     Alcotest.test_case "socket: sweep and validate match direct" `Quick
@@ -835,6 +1104,10 @@ let suite =
       test_annealing_adopts_matching_cache;
     Alcotest.test_case "socket: identical requests coalesce to one solve"
       `Quick test_socket_coalesced_identical_requests;
+    Alcotest.test_case "socket: queued plans share the evaluation cache"
+      `Quick test_socket_queued_plans_share_eval_cache;
     Alcotest.test_case "tcp and read-only listeners" `Quick
       test_tcp_and_read_only_listener;
+    Alcotest.test_case "tcp: connection burst all answered" `Quick
+      test_tcp_connection_burst;
   ]

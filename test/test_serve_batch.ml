@@ -112,8 +112,52 @@ let prop (soc_text, history, burst) =
     (List.combine (history_lines @ burst_lines) served);
   true
 
+(* The property above draws only plan, validate and anneal on
+   generated SoCs.  Here every planning op runs on a builtin: a
+   service that has already answered each op with other parameters
+   must then answer each exactly as a fresh one-worker service does. *)
+let test_every_op_after_history () =
+  let line op fields =
+    Printf.sprintf "{\"op\": \"%s\", \"system\": \"d695_leon\", %s}" op
+      fields
+  in
+  let history =
+    [
+      line "plan" {|"reuse": 3, "policy": "lookahead"|};
+      line "validate" {|"reuse": 1|};
+      line "anneal" {|"reuse": 2, "iterations": 60, "seed": 1|};
+      line "sweep" {|"max_reuse": 3|};
+      line "preempt" {|"reuse": 2, "max_sessions": 3|};
+      line "replan" {|"reuse": 3, "at": 20000, "failed_links": ["1,0>2,0"]|};
+    ]
+  in
+  let asked =
+    [
+      line "plan" {|"reuse": 2|};
+      line "validate" {|"reuse": 2|};
+      line "anneal" {|"reuse": 2, "iterations": 40, "seed": 3|};
+      line "sweep" {|"max_reuse": 2|};
+      line "preempt" {|"reuse": 2, "max_sessions": 2|};
+      line "replan" {|"reuse": 3, "at": 50000, "failed_links": ["1,0>2,0"]|};
+    ]
+  in
+  let service = Serve.Service.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Serve.Service.shutdown service) @@ fun () ->
+  List.iter (fun l -> ignore (Serve.Service.request service l)) history;
+  List.iter
+    (fun l ->
+      let served = answer (Serve.Service.request service l) in
+      Alcotest.(check bool) ("ok: " ^ l) true
+        (String.length served > 0
+        && Json.member "ok" (Result.get_ok (Json.parse served))
+           = Some (Json.Bool true));
+      Alcotest.(check string) l (answer (fresh_answer l)) served)
+    asked
+
 let suite =
   [
     Util.qcheck ~count:8 "every answer matches a fresh one-worker service"
       case_gen prop;
+    Alcotest.test_case "every planning op after a history" `Quick
+      test_every_op_after_history;
   ]
