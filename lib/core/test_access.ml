@@ -82,7 +82,7 @@ type sink_leg = {
    table carries a custom route function.  Hops and the channel set
    fall out of the path itself, so the wormhole model prices a longer
    detour honestly (more fill, more routing setup, more routers). *)
-let source_leg_of_route system ~application ~flits_in source route_in =
+let source_leg_of_route system ~application ~flits_in source ~links route_in =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
@@ -94,7 +94,7 @@ let source_leg_of_route system ~application ~flits_in source route_in =
     gen_overhead;
     src_setup;
     src_power;
-    links_in = Link.Set.of_list (Xy.links_of_route route_in);
+    links_in = Link.Set.of_list links;
     route_in;
     fill_in = Latency.header_latency latency ~hops:hops_in;
     transport_in = ((hops_in + 2) * routing) + (flits_in * flow);
@@ -102,10 +102,11 @@ let source_leg_of_route system ~application ~flits_in source route_in =
 
 let source_leg system ~application ~cut ~flits_in source =
   let src = Resource.coord system source in
+  let route = Xy.route system.System.topology ~src ~dst:cut in
   source_leg_of_route system ~application ~flits_in source
-    (Xy.route system.System.topology ~src ~dst:cut)
+    ~links:(Xy.links_of_route route) route
 
-let sink_leg_of_route system ~flits_out sink route_out =
+let sink_leg_of_route system ~flits_out sink ~links route_out =
   let latency = system.System.latency in
   let flow = Latency.stream_cycle_per_flit latency in
   let routing = latency.Latency.routing_latency in
@@ -115,7 +116,7 @@ let sink_leg_of_route system ~flits_out sink route_out =
     sink_overhead;
     sink_setup;
     sink_power;
-    links_out = Link.Set.of_list (Xy.links_of_route route_out);
+    links_out = Link.Set.of_list links;
     route_out;
     fill_out = Latency.header_latency latency ~hops:hops_out;
     transport_out = ((hops_out + 2) * routing) + (flits_out * flow);
@@ -126,8 +127,9 @@ let sink_leg_of_route system ~flits_out sink route_out =
 
 let sink_leg system ~cut ~flits_out sink =
   let snk = Resource.coord system sink in
-  sink_leg_of_route system ~flits_out sink
-    (Xy.route system.System.topology ~src:cut ~dst:snk)
+  let route = Xy.route system.System.topology ~src:cut ~dst:snk in
+  sink_leg_of_route system ~flits_out sink ~links:(Xy.links_of_route route)
+    route
 
 let combine_legs system ~m ~shift_cycles ~pattern_count sleg kleg =
   let paths_shared =
@@ -270,6 +272,16 @@ let feasible system ~application ~module_id ~source ~sink =
 
 type route_fn = src:Coord.t -> dst:Coord.t -> Coord.t list option
 
+(* One path leg between an endpoint and a CUT tile: the router path
+   ([None] when the table's route function found the pair
+   unreachable), its links ([] when unreachable) and whether the leg
+   survives the system's failed links. *)
+type leg = { path : Coord.t list option; leg_links : Link.t list; ok : bool }
+
+(* Every leg of one CUT tile, indexed like the table's endpoints: from
+   each endpoint to the tile, and from the tile back to each. *)
+type legs = { legs_in : leg array; legs_out : leg array }
+
 type table = {
   table_system : System.t;
   table_application : Processor.application;
@@ -290,6 +302,11 @@ type table = {
           — the wrapper-derived part of a row's costs, kept so
           {!table_degrade} reprices cells without redesigning the
           wrapper *)
+  tiles : legs option array;
+      (** indexed by {!Nocplan_noc.Topology.index}: in a routed table,
+          the legs of every tile a module sits on, kept so
+          {!table_degrade} finds the legs a new fault crosses without
+          routing them again; [None] throughout an XY table *)
   costs : cost option array;  (** [None] on an invalid source/sink pair *)
   channels : int array array;
       (** row-major [module][source][sink]: the dense channel ids of
@@ -319,59 +336,79 @@ let channels_of_links t links =
              c)
        links)
 
-(* Each leg's router path for one module, from every endpoint to the
-   CUT and back: XY, or the table's custom route function. *)
-let row_routes t ~cut =
+(* The leg along [path], with its route survivability.  Legs exist for
+   every endpoint — the validator probes arbitrary (source, sink)
+   combinations, so they cover even endpoints that cannot legally play
+   the role.  Under a custom router a leg survives iff the router
+   produced a path (which must itself avoid the faulty channels). *)
+let make_leg ~failed path =
+  match path with
+  | None -> { path; leg_links = []; ok = false }
+  | Some r ->
+      let leg_links = Xy.links_of_route r in
+      {
+        path;
+        leg_links;
+        ok =
+          Link.Set.is_empty failed
+          || List.for_all (fun l -> not (Link.Set.mem l failed)) leg_links;
+      }
+
+(* The legs of the tile at [cut], from every endpoint to it and back:
+   XY, or the table's custom route function. *)
+let route_tile t ~cut =
   let system = t.table_system in
-  let resolve ~src ~dst =
-    match t.table_route with
-    | None -> Some (Xy.route system.System.topology ~src ~dst)
-    | Some f -> f ~src ~dst
+  let failed = system.System.failed_links in
+  let leg ~src ~dst =
+    make_leg ~failed
+      (match t.table_route with
+      | None -> Some (Xy.route system.System.topology ~src ~dst)
+      | Some f -> f ~src ~dst)
   in
-  ( Array.map
-      (fun e -> resolve ~src:(Resource.coord system e) ~dst:cut)
-      t.endpoints,
-    Array.map
-      (fun e -> resolve ~src:cut ~dst:(Resource.coord system e))
-      t.endpoints )
+  {
+    legs_in =
+      Array.map
+        (fun e -> leg ~src:(Resource.coord system e) ~dst:cut)
+        t.endpoints;
+    legs_out =
+      Array.map
+        (fun e -> leg ~src:cut ~dst:(Resource.coord system e))
+        t.endpoints;
+  }
 
-(* Route survivability of each path leg, for any endpoint — the
-   validator probes arbitrary (source, sink) combinations, so these
-   cover even endpoints that cannot legally play the role.  Under a
-   custom router a leg survives iff the router produced a path (which
-   must itself avoid the faulty channels). *)
-let legs_ok t routes =
-  let failed = t.table_system.System.failed_links in
-  if Link.Set.is_empty failed && Option.is_none t.table_route then
-    Array.make t.width true
-  else
-    Array.map
-      (function
-        | None -> false
-        | Some r ->
-            List.for_all
-              (fun l -> not (Link.Set.mem l failed))
-              (Xy.links_of_route r))
-      routes
+(* [route_tile], kept for the tile's other modules and for derivations
+   when the table is routed.  An XY table's legs follow from the
+   topology alone, so a derivation recomputes them instead: the healthy
+   table, the one caches keep alive, stays as small as a table without
+   legs. *)
+let tile_legs t ~cut =
+  let slot = Nocplan_noc.Topology.index t.table_system.System.topology cut in
+  match t.tiles.(slot) with
+  | Some legs -> legs
+  | None ->
+      let legs = route_tile t ~cut in
+      if Option.is_some t.table_route then t.tiles.(slot) <- Some legs;
+      legs
 
-let source_legs t ~flits_in in_routes =
+let source_legs t ~flits_in legs_in =
   Array.mapi
     (fun i e ->
-      match in_routes.(i) with
-      | Some r when Resource.can_source e ->
+      match legs_in.(i) with
+      | { path = Some r; leg_links; _ } when Resource.can_source e ->
           Some
             (source_leg_of_route t.table_system
-               ~application:t.table_application ~flits_in e r)
-      | Some _ | None -> None)
+               ~application:t.table_application ~flits_in e ~links:leg_links r)
+      | _ -> None)
     t.endpoints
 
-let sink_legs t ~flits_out out_routes =
+let sink_legs t ~flits_out legs_out =
   Array.mapi
     (fun i e ->
-      match out_routes.(i) with
-      | Some r when Resource.can_sink e ->
-          Some (sink_leg_of_route t.table_system ~flits_out e r)
-      | Some _ | None -> None)
+      match legs_out.(i) with
+      | { path = Some r; leg_links; _ } when Resource.can_sink e ->
+          Some
+            (sink_leg_of_route t.table_system ~flits_out e ~links:leg_links r)
+      | _ -> None)
     t.endpoints
 
 (* Price one valid (source, sink) cell from its two legs, or mark it
@@ -418,13 +455,9 @@ let fill_row t row module_id =
   t.row_params.((row_stride * row) + 2) <- shift_cycles;
   (* Per-endpoint path legs, computed once per (module, endpoint)
      instead of once per (module, source, sink) triple. *)
-  let in_routes, out_routes =
-    row_routes t ~cut:(System.coord_of_module system module_id)
-  in
-  let source_legs = source_legs t ~flits_in in_routes in
-  let sink_legs = sink_legs t ~flits_out out_routes in
-  let in_route_ok = legs_ok t in_routes in
-  let out_route_ok = legs_ok t out_routes in
+  let legs = tile_legs t ~cut:(System.coord_of_module system module_id) in
+  let source_legs = source_legs t ~flits_in legs.legs_in in
+  let sink_legs = sink_legs t ~flits_out legs.legs_out in
   let base = row * n * n in
   Array.iteri
     (fun si source ->
@@ -434,7 +467,8 @@ let fill_row t row module_id =
       Array.iteri
         (fun ki sink ->
           let idx = base + (si * n) + ki in
-          t.route_bits.(idx) <- in_route_ok.(si) && out_route_ok.(ki);
+          t.route_bits.(idx) <-
+            legs.legs_in.(si).ok && legs.legs_out.(ki).ok;
           if Resource.valid_pair ~source ~sink then
             set_cell t ~idx ~mem ~m ~shift_cycles source_legs.(si)
               sink_legs.(ki))
@@ -476,6 +510,10 @@ let table ?(application = Processor.Bist) ?route system =
       route_bits = Array.make cells false;
       memory_bits = Array.make (List.length module_ids * n) false;
       row_params = Array.make (row_stride * List.length module_ids) 0;
+      tiles =
+        Array.make
+          (Nocplan_noc.Topology.router_count system.System.topology)
+          None;
       costs = Array.make (max 1 cells) None;
       channels = Array.make (max 1 cells) [||];
       channel_ids = Hashtbl.create 64;
@@ -535,6 +573,7 @@ let table_rebuild base ~system ~affected =
       route_bits = Array.copy base.route_bits;
       memory_bits = Array.copy base.memory_bits;
       row_params = Array.copy base.row_params;
+      tiles = Array.copy base.tiles;
       costs = Array.copy base.costs;
       channels = Array.copy base.channels;
       (* Copy, then extend: links already numbered keep their ids, so
@@ -549,66 +588,71 @@ let table_rebuild base ~system ~affected =
     (List.sort_uniq compare affected);
   t
 
-(* Reprice one module's row of a table copied from a healthy XY base.
-   A cell whose two legs both come back from the route function as the
-   XY path keeps the base's cost and channels verbatim — the base
-   priced exactly that path with the same wrapper, endpoints and NoC
-   figures; every other valid cell is repriced from the row's stored
-   wrapper parameters.  Returns the number of cells repriced. *)
-let degrade_row t row module_id =
-  let system = t.table_system in
-  let topology = system.System.topology in
-  let endpoints = t.endpoints in
+(* Reroute the legs of the tile at [cut] whose path crosses a
+   [suspect] link.  [None] when no leg does — the tile's rows carry
+   over untouched; otherwise the tile's new legs and which of them
+   changed.  Every other leg keeps its path: the route function's
+   contract (see {!table_degrade}) is that it would return that path
+   anyway, and a pathless leg has no links, so it stays pathless. *)
+let reroute ~system ~endpoints ~route ~suspect ~cut legs =
+  let crosses (leg : leg) =
+    List.exists (fun l -> Link.Set.mem l suspect) leg.leg_links
+  in
+  let in_changed = Array.map crosses legs.legs_in in
+  let out_changed = Array.map crosses legs.legs_out in
+  if not (Array.mem true in_changed || Array.mem true out_changed) then None
+  else
+    let failed = system.System.failed_links in
+    let update changed legs leg_to =
+      Array.mapi
+        (fun i leg ->
+          if changed.(i) then
+            make_leg ~failed (leg_to (Resource.coord system endpoints.(i)))
+          else leg)
+        legs
+    in
+    Some
+      ( {
+          legs_in =
+            update in_changed legs.legs_in (fun src -> route ~src ~dst:cut);
+          legs_out =
+            update out_changed legs.legs_out (fun dst -> route ~src:cut ~dst);
+        },
+        in_changed,
+        out_changed )
+
+(* Reprice the cells of one module's row that lie on a rerouted leg,
+   from the row's stored wrapper parameters; every other cell keeps the
+   base's cost, channels and bits.  Returns the number of valid cells
+   repriced. *)
+let degrade_row t row module_id (legs, in_changed, out_changed) =
   let n = t.width in
-  let cut = System.coord_of_module system module_id in
-  let in_routes, out_routes = row_routes t ~cut in
-  let in_route_ok = legs_ok t in_routes in
-  let out_route_ok = legs_ok t out_routes in
-  let is_xy routes xy =
-    Array.mapi
-      (fun i -> function
-        | Some r ->
-            List.equal Coord.equal r (xy (Resource.coord system endpoints.(i)))
-        | None -> false)
-      routes
-  in
-  let in_xy = is_xy in_routes (fun src -> Xy.route topology ~src ~dst:cut) in
-  let out_xy = is_xy out_routes (fun dst -> Xy.route topology ~src:cut ~dst) in
-  let legs =
-    lazy
-      (let p = row_stride * row in
-       ( Soc.find system.System.soc module_id,
-         t.row_params.(p + 2),
-         source_legs t ~flits_in:t.row_params.(p) in_routes,
-         sink_legs t ~flits_out:t.row_params.(p + 1) out_routes ))
-  in
+  let p = row_stride * row in
+  let m = Soc.find t.table_system.System.soc module_id in
+  let shift_cycles = t.row_params.(p + 2) in
+  let source_legs = source_legs t ~flits_in:t.row_params.(p) legs.legs_in in
+  let sink_legs = sink_legs t ~flits_out:t.row_params.(p + 1) legs.legs_out in
   let recomputed = ref 0 in
   let base = row * n * n in
-  Array.iteri
-    (fun si source ->
-      let mem = (row * n) + si in
-      Array.iteri
-        (fun ki sink ->
-          let idx = base + (si * n) + ki in
-          t.route_bits.(idx) <- in_route_ok.(si) && out_route_ok.(ki);
-          if Resource.valid_pair ~source ~sink then
-            if in_xy.(si) && out_xy.(ki) then
-              t.feasible_bits.(idx) <-
-                t.route_bits.(idx) && t.memory_bits.(mem)
-            else begin
-              incr recomputed;
-              let m, shift_cycles, source_legs, sink_legs = Lazy.force legs in
-              set_cell t ~idx ~mem ~m ~shift_cycles source_legs.(si)
-                sink_legs.(ki)
-            end)
-        endpoints)
-    endpoints;
+  for si = 0 to n - 1 do
+    for ki = 0 to n - 1 do
+      if in_changed.(si) || out_changed.(ki) then begin
+        let idx = base + (si * n) + ki in
+        t.route_bits.(idx) <- legs.legs_in.(si).ok && legs.legs_out.(ki).ok;
+        if Resource.valid_pair ~source:t.endpoints.(si) ~sink:t.endpoints.(ki)
+        then begin
+          incr recomputed;
+          set_cell t ~idx ~mem:((row * n) + si) ~m ~shift_cycles
+            source_legs.(si) sink_legs.(ki)
+        end
+      end
+    done
+  done;
   !recomputed
 
 let degradable base ~system =
   let old = base.table_system in
-  Option.is_none base.table_route
-  && Link.Set.is_empty old.System.failed_links
+  Link.Set.subset old.System.failed_links system.System.failed_links
   && system.System.soc == old.System.soc
   && system.System.topology == old.System.topology
   && system.System.latency == old.System.latency
@@ -622,30 +666,82 @@ let degradable base ~system =
 let table_degrade base ~system ~route =
   if not (degradable base ~system) then
     invalid_arg
-      "Test_access.table_degrade: base is not a healthy XY table of \
-       system's fault-free twin";
+      "Test_access.table_degrade: base is not a table of system with a \
+       subset of its failed links";
   let derive () =
-    let t =
-      {
-        base with
-        table_system = system;
-        table_route = Some route;
-        feasible_bits = Array.copy base.feasible_bits;
-        route_bits = Array.copy base.route_bits;
-        (* Memory bits and wrapper parameters do not depend on routes:
-           shared, as both tables are immutable once built. *)
-        costs = Array.copy base.costs;
-        channels = Array.copy base.channels;
-        (* Extend the base's numbering, as {!table_rebuild} does. *)
-        channel_ids = Hashtbl.copy base.channel_ids;
-      }
+    let failed = system.System.failed_links in
+    (* A routed base's paths already avoid its own failed links, so
+       only the newly failed ones can cross them; an XY base's paths
+       may cross any failed link. *)
+    let suspect =
+      match base.table_route with
+      | Some _ -> Link.Set.diff failed base.table_system.System.failed_links
+      | None -> failed
     in
-    let recomputed = ref 0 in
-    List.iteri
-      (fun row module_id ->
-        recomputed := !recomputed + degrade_row t row module_id)
-      (System.module_ids system);
-    (t, !recomputed)
+    let topology = system.System.topology in
+    let module_ids = System.module_ids system in
+    (* Every occupied tile's legs in the derived table, and the
+       reroutes of the tiles a new fault touches. *)
+    let tiles = Array.copy base.tiles in
+    let rerouted = Array.make (Array.length tiles) None in
+    let seen = Array.make (Array.length tiles) false in
+    List.iter
+      (fun module_id ->
+        let cut = System.coord_of_module system module_id in
+        let slot = Nocplan_noc.Topology.index topology cut in
+        if not seen.(slot) then begin
+          seen.(slot) <- true;
+          let legs =
+            match base.tiles.(slot) with
+            | Some legs -> legs
+            | None -> route_tile base ~cut
+          in
+          match
+            if Link.Set.is_empty suspect then None
+            else
+              reroute ~system ~endpoints:base.endpoints ~route ~suspect ~cut
+                legs
+          with
+          | None -> tiles.(slot) <- Some legs
+          | Some (legs, _, _) as changes ->
+              tiles.(slot) <- Some legs;
+              rerouted.(slot) <- changes
+        end)
+      module_ids;
+    if Array.for_all Option.is_none rerouted then
+      (* No leg crosses a new fault: the cells carry over as they are
+         (tables are immutable once built). *)
+      ({ base with table_system = system; table_route = Some route; tiles }, 0)
+    else begin
+      let t =
+        {
+          base with
+          table_system = system;
+          table_route = Some route;
+          feasible_bits = Array.copy base.feasible_bits;
+          route_bits = Array.copy base.route_bits;
+          (* Memory bits and wrapper parameters do not depend on
+             routes: shared. *)
+          tiles;
+          costs = Array.copy base.costs;
+          channels = Array.copy base.channels;
+          (* Extend the base's numbering, as {!table_rebuild} does. *)
+          channel_ids = Hashtbl.copy base.channel_ids;
+        }
+      in
+      let recomputed = ref 0 in
+      List.iteri
+        (fun row module_id ->
+          match
+            rerouted.(Nocplan_noc.Topology.index topology
+                        (System.coord_of_module system module_id))
+          with
+          | Some changes ->
+              recomputed := !recomputed + degrade_row t row module_id changes
+          | None -> ())
+        module_ids;
+      (t, !recomputed)
+    end
   in
   if not (Nocplan_obs.Trace.enabled ()) then fst (derive ())
   else begin

@@ -156,11 +156,14 @@ val table_rebuild : table -> system:System.t -> affected:int list -> table
     in [system] than in the base table's system. *)
 
 val degradable : table -> system:System.t -> bool
-(** Whether {!table_degrade} accepts [base] for [system]: [base] is a
-    healthy XY table — built without a route function for a system
-    with no failed links — and [system] is that system with failed
-    links added ({!System.with_failed_links}): the same soc, topology,
-    NoC figures, placement, processors and IO ports. *)
+(** Whether {!table_degrade} accepts [base] for [system]: [system] is
+    [base]'s system with failed links added
+    ({!System.with_failed_links}) — the same soc, topology, NoC
+    figures, placement, processors and IO ports, and a superset of its
+    failed links.  [base] may be built with or without a route
+    function: the healthy XY table, or a table an earlier
+    {!table_degrade} (or a routed {!table}) produced for a subset of
+    the faults. *)
 
 val table_degrade : table -> system:System.t -> route:route_fn -> table
 (** [table_degrade base ~system ~route] is the access table of the
@@ -169,20 +172,33 @@ val table_degrade : table -> system:System.t -> route:route_fn -> table
     except that the dense channel numbering {e extends} the base's (as
     {!table_rebuild}'s does) instead of starting afresh.
 
-    [base] and [system] must satisfy {!degradable}.
+    [base] and [system] must satisfy {!degradable}, and [route] must
+    agree with [base]'s routing on every leg the new faults leave
+    alone: a leg whose [base] path crosses no newly failed link comes
+    back from [route] as that very path, and a leg [base] found
+    unreachable stays unreachable.  {!Nocplan_fault.Detour} routes over
+    nested fault sets satisfy this (distances only grow, and the
+    tie-break keeps the first surviving neighbour — DESIGN §14), as do
+    XY paths against any detour router.
 
     Exactness: a cell's cost depends on its module's wrapper, its two
     endpoints, the NoC figures and the two leg paths — only the paths
-    can differ.  A cell whose two legs [route] returns as the XY paths
-    is copied from [base], which priced exactly those paths; every
-    other cell is repriced from the wrapper parameters [base] keeps per
-    row, so no wrapper is redesigned.  {!Nocplan_fault.Detour.route}
-    returns the XY path verbatim whenever it is healthy, so under a
-    detour router only cells with a leg crossing a fault are repriced.
-    Route and feasibility bits are recomputed for every cell.
+    can differ.  A routed table keeps each CUT tile's legs with their
+    links (an XY table recomputes its XY legs when derived from, so the
+    long-lived healthy table carries none), so the derivation finds the
+    legs whose path crosses a newly failed link (any failed link, for
+    an XY base) without routing them, asks [route] for those legs only,
+    and reprices only the
+    cells on them, from the wrapper parameters [base] keeps per row —
+    no wrapper is redesigned.  Every other cell, and every row whose
+    tile no new fault touches, carries over untouched; when no leg
+    reroutes, the arrays are shared with [base].  Work therefore scales
+    with the legs the {e new} faults cut, so chaining the derivations
+    of a growing fault set pays for each fault once.
 
     Emits the ["access.table"] span with a [derived] attribute, and the
-    number of [recomputed] cells at its end.
+    number of [recomputed] cells (valid cells on rerouted legs) at its
+    end.
     @raise Invalid_argument unless [degradable base ~system]. *)
 
 val table_for :

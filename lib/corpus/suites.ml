@@ -17,14 +17,35 @@ let truncate_list pp l =
     (if List.length l > 3 then Fmt.str "; … (%d total)" (List.length l)
      else "")
 
+(* The healthy XY access table of the item's system, shared by every
+   suite that plans it: the runner checks one item's suites back to
+   back on one domain, so a one-slot memo per domain, keyed by the
+   physical system, builds each item's table once.  The slot holds the
+   system, so the key cannot be collected and its address reused. *)
+let healthy_slot = Domain.DLS.new_key (fun () -> None)
+
+let healthy_table (item : Corpus.item) ~application =
+  let system = item.Corpus.system in
+  match Domain.DLS.get healthy_slot with
+  | Some (s, a, table) when s == system && a = application -> table
+  | Some _ | None ->
+      let table = Core.Test_access.table ~application system in
+      Domain.DLS.set healthy_slot (Some (system, application, table));
+      table
+
 (* -- schedule_invariants -------------------------------------------- *)
 
 let schedule_invariants_check (item : Corpus.item) =
   let config = Corpus.config item in
-  match Core.Scheduler.run item.Corpus.system config with
+  let access =
+    healthy_table item ~application:config.Core.Scheduler.application
+  in
+  match Core.Scheduler.run ~access item.Corpus.system config with
   | exception Core.Scheduler.Unschedulable msg ->
       Fail ("greedy found the item unschedulable: " ^ msg)
   | schedule -> (
+      (* Validated without the table: the validator's direct cost
+         model is what checks the table the scheduler priced with. *)
       match
         Core.Schedule.validate item.Corpus.system
           ~application:config.Core.Scheduler.application
@@ -50,8 +71,7 @@ let backend_differential_check (item : Corpus.item) =
   let config = Corpus.config item in
   (* One table for both backends and their validators. *)
   let access =
-    Core.Test_access.table ~application:config.Core.Scheduler.application
-      item.Corpus.system
+    healthy_table item ~application:config.Core.Scheduler.application
   in
   let row =
     Core.Differential.race_row ~access ~label:item.Corpus.name
@@ -97,8 +117,10 @@ let fault_rates = [ 0.0; 0.1; 0.25 ]
    consistent with its abandoned count. *)
 let fault_monotonicity_check (item : Corpus.item) =
   let seed = item.Corpus.index + 1 in
+  let application = Proc.Processor.Bist in
   match
-    Fault.Injector.sweep ~power_limit:item.Corpus.power_limit
+    Fault.Injector.sweep ~application ~power_limit:item.Corpus.power_limit
+      ~access:(healthy_table item ~application)
       ~reuse:item.Corpus.reuse ~seed ~rates:fault_rates item.Corpus.system
   with
   | exception Core.Scheduler.Unschedulable msg ->

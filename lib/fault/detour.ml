@@ -47,9 +47,13 @@ type t = {
   faults : fault_set;
   faulty_routers : Coord_set.t;
   faulty_links : Link.Set.t;
-  (* dist.(d).(u): hops from router u to destination d over healthy
-     directed channels; [max_int] when d is unreachable from u. *)
-  dist : int array array;
+  (* dist.(d): hops from every router u to destination d over healthy
+     directed channels, [max_int] when d is unreachable from u; the
+     empty array until a route to d first needs it.  Each slot is
+     published once, atomically, so domains sharing the table see
+     either nothing (and compute the same array themselves) or a
+     complete array. *)
+  dist : int array Atomic.t array;
 }
 
 let topology t = t.topology
@@ -68,45 +72,52 @@ let table topology fs =
         ("links", Trace.Int (List.length fs.links));
       ]
   @@ fun () ->
-  let n = Topology.router_count topology in
-  let t0 =
-    {
-      topology;
-      faults = fs;
-      faulty_routers = Coord_set.of_list fs.routers;
-      faulty_links = Link.Set.of_list fs.links;
-      dist = [||];
-    }
-  in
-  (* One backward BFS per destination over the healthy directed graph:
-     u is one hop closer than v whenever the channel u -> v is alive.
-     Distances are unique, so neighbour enumeration order only breaks
-     path-reconstruction ties (deterministically, in [Topology.neighbors]
-     order). *)
-  let dist =
-    Array.init n (fun d ->
-        let dd = Array.make n max_int in
-        let dc = Topology.of_index topology d in
-        if router_ok t0 dc then begin
-          dd.(d) <- 0;
-          let q = Queue.create () in
-          Queue.push dc q;
-          while not (Queue.is_empty q) do
-            let v = Queue.pop q in
-            let dv = dd.(Topology.index topology v) in
-            List.iter
-              (fun u ->
-                let ui = Topology.index topology u in
-                if dd.(ui) = max_int && channel_ok t0 u v then begin
-                  dd.(ui) <- dv + 1;
-                  Queue.push u q
-                end)
-              (Topology.neighbors topology v)
-          done
-        end;
-        dd)
-  in
-  { t0 with dist }
+  {
+    topology;
+    faults = fs;
+    faulty_routers = Coord_set.of_list fs.routers;
+    faulty_links = Link.Set.of_list fs.links;
+    dist =
+      Array.init (Topology.router_count topology) (fun _ -> Atomic.make [||]);
+  }
+
+(* One backward BFS to destination [d] over the healthy directed graph:
+   u is one hop closer than v whenever the channel u -> v is alive.
+   Distances are unique, so neighbour enumeration order only breaks
+   path-reconstruction ties (deterministically, in [Topology.neighbors]
+   order). *)
+let bfs t d =
+  let topology = t.topology in
+  let dd = Array.make (Topology.router_count topology) max_int in
+  let dc = Topology.of_index topology d in
+  if router_ok t dc then begin
+    dd.(d) <- 0;
+    let q = Queue.create () in
+    Queue.push dc q;
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      let dv = dd.(Topology.index topology v) in
+      List.iter
+        (fun u ->
+          let ui = Topology.index topology u in
+          if dd.(ui) = max_int && channel_ok t u v then begin
+            dd.(ui) <- dv + 1;
+            Queue.push u q
+          end)
+        (Topology.neighbors topology v)
+    done
+  end;
+  dd
+
+let dist_to t d =
+  let slot = t.dist.(d) in
+  let dd = Atomic.get slot in
+  if Array.length dd > 0 then dd
+  else begin
+    let dd = bfs t d in
+    Atomic.set slot dd;
+    dd
+  end
 
 (* Whether the plain XY path is fully healthy — if so the detour
    router returns it verbatim, so the empty fault set reproduces
@@ -132,7 +143,7 @@ let route t ~src ~dst =
   then None
   else if xy_healthy t ~src ~dst then Some (Xy.route t.topology ~src ~dst)
   else begin
-    let dd = t.dist.(Topology.index t.topology dst) in
+    let dd = dist_to t (Topology.index t.topology dst) in
     if dd.(Topology.index t.topology src) = max_int then None
     else begin
       let rec go c acc =

@@ -8,10 +8,15 @@
     fault — the routing tables a NoC with per-router fault registers
     would hold.
 
-    Tables are immutable after construction and safe to share across
-    domains.  Construction is one backward BFS per destination over
-    the healthy directed channel graph: O(routers · channels), a few
-    microseconds on the paper-scale meshes. *)
+    Construction only records the fault set: O(faults).  The
+    shortest-path distances to a destination — one backward BFS over
+    the healthy directed channel graph, O(channels) — are computed the
+    first time a {!route} to it has to leave the XY path, and kept.  A
+    route whose XY path is healthy never runs one, so a fault set that
+    reroutes few legs pays for few destinations.  Each destination's
+    distances are published atomically once complete, so a table is
+    safe to share across domains: a domain either reads the published
+    array or computes the same one itself. *)
 
 type fault_set = private {
   routers : Nocplan_noc.Coord.t list;  (** dead routers, sorted *)
@@ -47,7 +52,9 @@ type t
 (** A routing table for one (topology, fault set). *)
 
 val table : Nocplan_noc.Topology.t -> fault_set -> t
-(** Build the table.  Emits a ["fault.detour"] trace span.  The empty
+(** Build the table.  Emits a ["fault.detour"] trace span, which
+    covers the fault set's bookkeeping only: the per-destination BFS
+    runs later, inside whichever {!route} call first needs it.  The empty
     fault set yields a table whose {!route} is extensionally equal to
     {!Nocplan_noc.Xy_routing.route} — and in fact {!route} returns the
     XY path verbatim whenever that path is fully healthy, so access

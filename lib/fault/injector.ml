@@ -77,7 +77,9 @@ type run = {
 
 (* Replay [events] against [baseline]: the campaign body of {!run},
    shared by {!sweep} so every rate starts from one baseline schedule
-   and one healthy access table. *)
+   and one healthy access table.  Fault sets grow from step to step, so
+   each step's degraded table is the next step's base: a step reroutes
+   only the legs its own new faults cross. *)
 let replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
     system =
   let rec group = function
@@ -95,25 +97,28 @@ let replay ~policy ~application ~power_limit ?access ~reuse ~baseline ~events
          (fun (a : event) (b : event) -> Int.compare a.at b.at)
          events)
   in
-  let step_fold (sched, faults, abandoned, steps) (at, targets) =
+  let step_fold (sched, access, faults, abandoned, steps) (at, targets) =
     let faults = Detour.union faults (fault_set_of targets) in
     Trace.instant "fault.inject"
       ~attrs:
         [ ("at", Trace.Int at); ("targets", Trace.Int (List.length targets)) ];
-    let outcome =
-      Recover.after ~policy ~application ~power_limit ~abandoned ?access ~reuse
-        ~at ~faults system sched
+    let outcome, access =
+      Recover.after_with_table ~policy ~application ~power_limit ~abandoned
+        ?access ~reuse ~at ~faults system sched
     in
     let sched' =
       Schedule.of_entries (outcome.Recover.kept @ outcome.Recover.replanned)
     in
     ( sched',
+      Some access,
       faults,
       outcome.Recover.abandoned,
       { at; injected = targets; faults; outcome } :: steps )
   in
-  let schedule, faults, abandoned, steps_rev =
-    List.fold_left step_fold (baseline, Detour.no_faults, [], []) groups
+  let schedule, _, faults, abandoned, steps_rev =
+    List.fold_left step_fold
+      (baseline, access, Detour.no_faults, [], [])
+      groups
   in
   {
     baseline;
@@ -144,8 +149,12 @@ type point = {
 }
 
 let sweep ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ~reuse ~seed ~rates system =
-  let access = Test_access.table ~application system in
+    ?(power_limit = None) ?access ~reuse ~seed ~rates system =
+  let access =
+    match access with
+    | Some t when Test_access.table_for t ~system ~application -> t
+    | Some _ | None -> Test_access.table ~application system
+  in
   let baseline =
     Scheduler.run ~access system
       (Scheduler.config ~policy ~application ~power_limit ~reuse ())

@@ -72,8 +72,10 @@ val run :
 (** Schedule the session fault-free, then replay [events] in time
     order: events sharing an instant are injected together, each
     distinct instant drives one {!Recover.after} against the schedule
-    surviving so far.  Emits a ["fault.inject"] trace instant per
-    event group.  Raises as {!Recover.after}. *)
+    surviving so far.  Each step's degraded access table is the next
+    step's base ({!Recover.after_with_table}), so a step reprices only
+    the paths its own new faults cut.  Emits a ["fault.inject"] trace
+    instant per event group.  Raises as {!Recover.after}. *)
 
 type point = {
   rate : float;
@@ -88,6 +90,7 @@ val sweep :
   ?policy:Nocplan_core.Scheduler.policy ->
   ?application:Nocplan_proc.Processor.application ->
   ?power_limit:float option ->
+  ?access:Nocplan_core.Test_access.table ->
   reuse:int ->
   seed:int ->
   rates:float list ->
@@ -97,6 +100,12 @@ val sweep :
     makespan as horizon — the availability / makespan-degradation
     curve.  Every rate's campaign equals [run] on the same events; the
     sweep builds the healthy access table and the fault-free schedule
-    once and shares them across rates. *)
+    once and shares them across rates.
+
+    [access] is the healthy access table of [system] and [application]
+    when the caller already holds one ({!Nocplan_core.Scheduler.run}
+    takes the same table); a table
+    {!Nocplan_core.Test_access.table_for} rejects is ignored and the
+    sweep builds its own. *)
 
 val pp_point : point Fmt.t

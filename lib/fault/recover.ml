@@ -21,9 +21,9 @@ let availability_of system ~abandoned =
   if total = 0 then 1.0
   else float_of_int (total - List.length abandoned) /. float_of_int total
 
-let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
-    ?(power_limit = None) ?(abandoned = []) ?access ~reuse ~at ~faults system
-    (schedule : Schedule.t) =
+let after_with_table ?(policy = Scheduler.Greedy)
+    ?(application = Processor.Bist) ?(power_limit = None) ?(abandoned = [])
+    ?access ~reuse ~at ~faults system (schedule : Schedule.t) =
   if at < 0 then invalid_arg "Recover.after: negative event time";
   Trace.span "fault.replan"
     ~attrs:
@@ -53,10 +53,10 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
   let route = Detour.route_fn detour in
   let access =
     match access with
-    | Some healthy
-      when Test_access.table_for healthy ~system ~application
-           && Test_access.degradable healthy ~system:degraded ->
-        Test_access.table_degrade healthy ~system:degraded ~route
+    | Some base
+      when Test_access.table_application base = application
+           && Test_access.degradable base ~system:degraded ->
+        Test_access.table_degrade base ~system:degraded ~route
     | Some _ | None -> Test_access.table ~application ~route degraded
   in
   let endpoints = Resource.all_endpoints degraded ~reuse in
@@ -123,14 +123,21 @@ let after ?(policy = Scheduler.Greedy) ?(application = Processor.Bist)
       (fun acc (e : Schedule.entry) -> max acc e.Schedule.finish)
       0 (kept @ replanned)
   in
-  {
-    kept;
-    voided;
-    abandoned;
-    replanned;
-    makespan;
-    availability = availability_of system ~abandoned;
-  }
+  ( {
+      kept;
+      voided;
+      abandoned;
+      replanned;
+      makespan;
+      availability = availability_of system ~abandoned;
+    },
+    access )
+
+let after ?policy ?application ?power_limit ?abandoned ?access ~reuse ~at
+    ~faults system schedule =
+  fst
+    (after_with_table ?policy ?application ?power_limit ?abandoned ?access
+       ~reuse ~at ~faults system schedule)
 
 type violation =
   | Coverage of int

@@ -45,25 +45,49 @@ val after :
     earlier events of the same campaign; they stay abandoned and are
     excluded from coverage.
 
-    [access] is the XY access table of [system] (no failed links) and
-    [application], as {!Nocplan_core.Scheduler.run} takes it: the
-    degraded table is then derived from it with
-    {!Nocplan_core.Test_access.table_degrade}, which reprices only the
-    cells whose paths the faults reroute.  A table for another system
-    or application, or one {!Nocplan_core.Test_access.degradable}
-    rejects (built with a route function, or for a [system] that
-    already has failed links), is ignored and the degraded table is
-    built from scratch — the outcome is the same either way.
+    [access] is a table to derive the degraded one from, for
+    [application] and [system] under a subset of the degraded system's
+    failed links: the healthy XY table that
+    {!Nocplan_core.Scheduler.run} takes, or the table an earlier
+    {!after_with_table} of the same campaign returned.  The degraded
+    table is then {!Nocplan_core.Test_access.table_degrade}d from it,
+    which reroutes and reprices only the legs the {e new} faults cross.
+    A table priced under routes other than XY or {!Detour} over a
+    subset of [faults] breaks [table_degrade]'s contract on the route,
+    so do not pass one.  A table for another application, or one
+    {!Nocplan_core.Test_access.degradable} rejects (another system or
+    placement, or a failed link [faults] does not block), is ignored
+    and the degraded table is built from scratch — the outcome is the
+    same either way.
 
     Emits a ["fault.replan"] trace span (the detour table build inside
     adds its own ["fault.detour"] span, the access table its
-    ["access.table"] span).
+    ["access.table"] span, which contains the detour BFS runs).
 
     @raise Invalid_argument on a negative [at] or out-of-range
     [reuse].
     @raise Nocplan_core.Scheduler.Unschedulable only through the power
     limit: path existence is prefiltered, but a cap no feasible pair
     fits under still surfaces. *)
+
+val after_with_table :
+  ?policy:Nocplan_core.Scheduler.policy ->
+  ?application:Nocplan_proc.Processor.application ->
+  ?power_limit:float option ->
+  ?abandoned:int list ->
+  ?access:Nocplan_core.Test_access.table ->
+  reuse:int ->
+  at:int ->
+  faults:Detour.fault_set ->
+  Nocplan_core.System.t ->
+  Nocplan_core.Schedule.t ->
+  outcome * Nocplan_core.Test_access.table
+(** {!after}, also returning the degraded access table the replan was
+    priced on.  Fault sets within one campaign are cumulative, so that
+    table is a valid [access] for the campaign's next event: each
+    step's derivation then only pays for the faults that step adds
+    ({!Injector} chains its steps this way).  The table stays out of
+    {!outcome}, which holds plain data only and compares with [=]. *)
 
 val availability_of : Nocplan_core.System.t -> abandoned:int list -> float
 
@@ -95,7 +119,10 @@ val validate :
   outcome ->
   (unit, violation list) result
 (** Re-derive the detour table and degraded system from scratch and
-    check the outcome against them: abandoned modules untested, the
+    check the outcome against them.  This builds its own access table
+    with {!Nocplan_core.Test_access.table} instead of deriving one: it
+    is an independent check of {!after}, so it must not share the
+    derivation it is checking.  The checks: abandoned modules untested, the
     rest covered exactly once; replanned entries start at or after
     [at], are feasible and correctly priced under detour routing, and
     touch no blocked channel; no endpoint or channel double-booking

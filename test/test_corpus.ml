@@ -241,6 +241,39 @@ let test_runner_jobs_invariant () =
              contains 0)
            testplan.Corpus.Testplan.testpoints)
 
+(* Every suite of an item that plans it shares the item's one healthy
+   table, and every fault-step table is derived from another table of
+   the same item: one full build per item, whatever the plan runs. *)
+let test_runner_builds_one_table_per_item () =
+  match Corpus.Testplan.load testplan_path with
+  | Error msg -> Alcotest.failf "testplan: %s" msg
+  | Ok testplan ->
+      let items = Corpus.Corpus.generate ~seed:3L ~count:6 in
+      let report, events =
+        Nocplan_obs.Trace.with_collector (fun () ->
+            Corpus.Runner.run ~jobs:1 ~testplan items)
+      in
+      Alcotest.(check bool) "run is green" true (Corpus.Runner.ok report);
+      let tables =
+        List.filter
+          (fun (e : Nocplan_obs.Trace.event) ->
+            e.Nocplan_obs.Trace.name = "access.table"
+            && e.Nocplan_obs.Trace.phase = Nocplan_obs.Trace.Begin)
+          events
+      in
+      let full, derived =
+        List.partition
+          (fun e -> Nocplan_obs.Trace.attr_bool e "derived" = None)
+          tables
+      in
+      Alcotest.(check int) "one full build per item" (List.length items)
+        (List.length full);
+      Alcotest.(check bool) "every other build derived" true
+        (derived <> []
+        && List.for_all
+             (fun e -> Nocplan_obs.Trace.attr_bool e "derived" = Some true)
+             derived)
+
 (* --- golden verify report --------------------------------------------- *)
 
 (* A seeded 20-system slice through the checked-in testplan, digested as
@@ -289,6 +322,8 @@ let suite =
       test_testplan_rejects_malformed;
     Alcotest.test_case "runner is domain-count invariant" `Slow
       test_runner_jobs_invariant;
+    Alcotest.test_case "runner builds one full access table per item" `Quick
+      test_runner_builds_one_table_per_item;
     Alcotest.test_case "verify report golden digest (20 systems)" `Slow
       test_verify_report_digest;
   ]

@@ -184,6 +184,125 @@ let test_fault_set_normalizes () =
     (Detour.fault_count (Detour.union a b));
   Alcotest.(check bool) "no_faults is empty" true (Detour.is_empty Detour.no_faults)
 
+(* The eager reference router: every destination's BFS up front, then
+   the documented rule — the XY path when it is fully healthy, else the
+   shortest healthy path with ties broken in [Topology.neighbors]
+   order.  The lazy table must agree with it on every pair. *)
+let eager_route topology faults =
+  let n = Topology.router_count topology in
+  let dead_router c = List.exists (Coord.equal c) faults.Detour.routers in
+  let dead_link l = List.exists (Link.equal l) faults.Detour.links in
+  let channel_ok a b =
+    (not (dead_router a)) && (not (dead_router b))
+    && not (dead_link (Link.channel a b))
+  in
+  let dist =
+    Array.init n (fun d ->
+        let dd = Array.make n max_int in
+        let dc = Topology.of_index topology d in
+        if not (dead_router dc) then begin
+          dd.(d) <- 0;
+          let q = Queue.create () in
+          Queue.push dc q;
+          while not (Queue.is_empty q) do
+            let v = Queue.pop q in
+            List.iter
+              (fun u ->
+                let ui = Topology.index topology u in
+                if dd.(ui) = max_int && channel_ok u v then begin
+                  dd.(ui) <- dd.(Topology.index topology v) + 1;
+                  Queue.push u q
+                end)
+              (Topology.neighbors topology v)
+          done
+        end;
+        dd)
+  in
+  fun ~src ~dst ->
+    let xy_healthy =
+      List.for_all
+        (fun l ->
+          (not (dead_link l)) && not (List.exists dead_router (Link.routers l)))
+        (Xy.links topology ~src ~dst)
+    in
+    if
+      dead_router src || dead_router dst
+      || dead_link (Link.Inject src)
+      || dead_link (Link.Eject dst)
+    then None
+    else if xy_healthy then Some (Xy.route topology ~src ~dst)
+    else
+      let dd = dist.(Topology.index topology dst) in
+      if dd.(Topology.index topology src) = max_int then None
+      else
+        let rec go c acc =
+          if Coord.equal c dst then List.rev (c :: acc)
+          else
+            let dc = dd.(Topology.index topology c) in
+            go
+              (List.find
+                 (fun v ->
+                   channel_ok c v && dd.(Topology.index topology v) = dc - 1)
+                 (Topology.neighbors topology c))
+              (c :: acc)
+        in
+        Some (go src [])
+
+let any_topology_and_faults_gen =
+  let open QCheck2.Gen in
+  let* topology = Generators.any_topology_gen in
+  let* faults = fault_set_gen topology in
+  return (topology, faults)
+
+(* Every pair's route, keyed by the pair and sorted by it, whatever
+   order [coords] visits them in. *)
+let all_routes t coords =
+  List.sort compare
+    (List.concat_map
+       (fun dst ->
+         List.map (fun src -> ((src, dst), Detour.route t ~src ~dst)) coords)
+       coords)
+
+let prop_lazy_matches_eager =
+  qcheck ~count:100
+    "lazy per-destination BFS routes = an eager reference, mesh and torus"
+    any_topology_and_faults_gen
+    (fun (topology, faults) ->
+      let t = Detour.table topology faults in
+      let reference = eager_route topology faults in
+      let coords = all_coords topology in
+      (* Destinations in reverse first, so the memo fills in another
+         order than a forward sweep would. *)
+      List.for_all
+        (fun dst ->
+          List.for_all
+            (fun src -> Detour.route t ~src ~dst = reference ~src ~dst)
+            coords)
+        (List.rev coords))
+
+let test_shared_across_domains () =
+  (* Two domains route every pair through one fresh table, from
+     opposite ends, racing to fill the per-destination memo; both must
+     see what a single domain sees on a table of its own. *)
+  let topology = Topology.torus ~width:5 ~height:4 in
+  let faults =
+    Detour.fault_set
+      ~routers:[ c 1 1; c 3 2 ]
+      ~links:[ Link.channel (c 0 0) (c 1 0); Link.channel (c 2 3) (c 2 0) ]
+      ()
+  in
+  let coords = all_coords topology in
+  let expected = all_routes (Detour.table topology faults) coords in
+  let shared = Detour.table topology faults in
+  let backward =
+    Domain.spawn (fun () -> all_routes shared (List.rev coords))
+  in
+  let forward = all_routes shared coords in
+  let backward = Domain.join backward in
+  Alcotest.(check bool) "forward domain agrees" true (forward = expected);
+  Alcotest.(check bool) "reverse-order domain agrees" true
+    (backward = expected)
+
 let suite =
   [
     prop_xy_agreement;
@@ -200,4 +319,7 @@ let suite =
       test_blocked_links_of_dead_router;
     Alcotest.test_case "fault-set normalization" `Quick
       test_fault_set_normalizes;
+    prop_lazy_matches_eager;
+    Alcotest.test_case "one table shared by two domains" `Quick
+      test_shared_across_domains;
   ]

@@ -171,16 +171,31 @@ let test_recover_rejects_negative_time () =
         (Recover.after ~reuse:1 ~at:(-1) ~faults:Detour.no_faults sys sched))
 
 let test_recover_access_tables () =
-  (* A dead link mid-session: [after] with the healthy XY table
-     derives its degraded table; with a routed table of the same
-     system (which [table_degrade] would reject) it builds one from
-     scratch.  Both match the replan without a table. *)
+  (* A dead link mid-session: [after] derives its degraded table from
+     any table of the same system and application whose failed links
+     the new faults block — the healthy XY table, a table routed over
+     the healthy network, or an earlier step's degraded table — and
+     builds one from scratch for any other.  Every outcome matches the
+     replan without a table. *)
   let sys = small_system () in
+  let topology = sys.System.topology in
   let sched = Scheduler.run sys (Scheduler.config ~reuse:1 ()) in
   let at = sched.Schedule.makespan / 2 in
-  let faults = Detour.fault_set ~links:[ Link.channel (c 1 0) (c 2 0) ] () in
-  let xy ~src ~dst = Some (Noc.Xy_routing.route sys.System.topology ~src ~dst) in
+  let link = Link.channel (c 1 0) (c 2 0) in
+  let other = Link.channel (c 0 1) (c 0 2) in
+  let faults = Detour.fault_set ~links:[ link ] () in
+  let xy ~src ~dst = Some (Noc.Xy_routing.route topology ~src ~dst) in
   let plain = Recover.after ~reuse:1 ~at ~faults sys sched in
+  let _, earlier =
+    Recover.after_with_table ~reuse:1 ~at:0 ~faults:Detour.no_faults sys sched
+  in
+  let unrelated =
+    Core.Test_access.table
+      ~route:
+        (Detour.route_fn
+           (Detour.table topology (Detour.fault_set ~links:[ other ] ())))
+      (System.with_failed_links sys [ other ])
+  in
   List.iter
     (fun (name, access, derived) ->
       let o, events =
@@ -197,7 +212,13 @@ let test_recover_access_tables () =
       assert_recover_valid sys ~reuse:1 ~at ~faults o)
     [
       ("healthy XY table", Core.Test_access.table sys, true);
-      ("routed table", Core.Test_access.table ~route:xy sys, false);
+      ("routed table", Core.Test_access.table ~route:xy sys, true);
+      ("earlier step's table", earlier, true);
+      ( "another application",
+        Core.Test_access.table ~application:Proc.Processor.Decompression sys,
+        false );
+      ("faults not a subset", unrelated, false);
+      ("another system", Core.Test_access.table (small_system ()), false);
     ]
 
 let test_validator_rejects_doctored_outcome () =

@@ -377,33 +377,117 @@ let prop_degrade_matches_fresh =
             [ 0.1; 0.25; 0.5 ])
         [ Proc.Processor.Bist; Proc.Processor.Decompression ])
 
-let test_degrade_rejects_unhealthy_base () =
-  let sys = system () in
-  let link = Link.channel (Coord.make ~x:0 ~y:0) (Coord.make ~x:1 ~y:0) in
-  let broken = System.with_failed_links sys [ link ] in
-  let xy ~src ~dst =
-    Some (Nocplan_noc.Xy_routing.route sys.System.topology ~src ~dst)
+(* The faults of a campaign's prefix up to [rate] and its degraded
+   system and detour router. *)
+let fault_step sys ~seed rate =
+  let topology = sys.System.topology in
+  let faults =
+    Fault.Injector.fault_set_of
+      (List.map
+         (fun (e : Fault.Injector.event) -> e.Fault.Injector.target)
+         (Fault.Injector.draw ~seed ~rate ~horizon:100 topology))
   in
+  ( System.with_failed_links sys (Fault.Detour.blocked_links topology faults),
+    Fault.Detour.route_fn (Fault.Detour.table topology faults) )
+
+let prop_degrade_chain_matches_fresh =
+  qcheck ~count:15
+    "a table_degrade chain over nested fault sets = fresh tables at every \
+     step; non-subset bases rejected"
+    QCheck2.Gen.(pair corpus_item_gen (int_range 0 1000))
+    (fun (item, seed) ->
+      let sys = item.Corpus.system in
+      let steps = List.map (fault_step sys ~seed) [ 0.05; 0.1; 0.25; 0.5 ] in
+      List.for_all
+        (fun application ->
+          let rec derive base = function
+            | [] -> []
+            | (degraded, route) :: rest ->
+                let t =
+                  Test_access.table_degrade base ~system:degraded ~route
+                in
+                t :: derive t rest
+          in
+          let chain = derive (Test_access.table ~application sys) steps in
+          let matches =
+            List.for_all2
+              (fun derived (degraded, route) ->
+                Test_access.table_for derived ~system:degraded ~application
+                && table_view degraded derived
+                   = table_view degraded
+                       (Test_access.table ~application ~route degraded))
+              chain steps
+          in
+          (* The chain's last table, as a base for an earlier step's
+             system, carries faults that system lacks: unless the
+             fault sets happen to coincide, it must be refused. *)
+          let last = List.nth chain (List.length chain - 1) in
+          let last_system, _ = List.nth steps (List.length steps - 1) in
+          let refuses_supersets =
+            List.for_all
+              (fun ((earlier : System.t), route) ->
+                Link.Set.subset last_system.System.failed_links
+                  earlier.System.failed_links
+                || (not (Test_access.degradable last ~system:earlier))
+                   &&
+                   match
+                     Test_access.table_degrade last ~system:earlier ~route
+                   with
+                   | _ -> false
+                   | exception Invalid_argument _ -> true)
+              steps
+          in
+          matches && refuses_supersets)
+        [ Proc.Processor.Bist; Proc.Processor.Decompression ])
+
+let test_degrade_rejects_underivable_base () =
+  let sys = system () in
+  let topology = sys.System.topology in
+  let link = Link.channel (Coord.make ~x:0 ~y:0) (Coord.make ~x:1 ~y:0) in
+  let other = Link.channel (Coord.make ~x:1 ~y:1) (Coord.make ~x:2 ~y:1) in
+  let broken = System.with_failed_links sys [ link ] in
+  let detour links =
+    Fault.Detour.route_fn
+      (Fault.Detour.table topology (Fault.Detour.fault_set ~links ()))
+  in
+  let xy ~src ~dst = Some (Nocplan_noc.Xy_routing.route topology ~src ~dst) in
   let rejects name base ~system =
     Alcotest.(check bool) (name ^ ": not degradable") false
       (Test_access.degradable base ~system);
-    match Test_access.table_degrade base ~system ~route:xy with
+    match Test_access.table_degrade base ~system ~route:(detour [ link ]) with
     | _ -> Alcotest.failf "%s: accepted" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "routed base" (Test_access.table ~route:xy sys) ~system:broken;
-  rejects "base with failed links" (Test_access.table broken)
-    ~system:(System.with_failed_links broken [ link ]);
   rejects "another system" (Test_access.table sys)
     ~system:(System.with_failed_links (renumbered_system ()) [ link ]);
   rejects "moved modules" (Test_access.table sys)
     ~system:(System.with_failed_links (System.swap_tiles sys 1 2) [ link ]);
-  (* The healthy XY table of the same system is accepted. *)
-  Alcotest.(check bool) "healthy base degradable" true
-    (Test_access.degradable (Test_access.table sys) ~system:broken);
-  ignore
+  rejects "faults not a subset"
+    (Test_access.table ~route:(detour [ other ])
+       (System.with_failed_links sys [ other ]))
+    ~system:broken;
+  (* Any base of the same system whose failed links the new system
+     keeps is accepted, and derives the fresh table. *)
+  let accepts name base ~system ~route =
+    Alcotest.(check bool) (name ^ ": degradable") true
+      (Test_access.degradable base ~system);
+    Alcotest.(check bool) (name ^ ": derives the fresh table") true
+      (table_view system (Test_access.table_degrade base ~system ~route)
+      = table_view system (Test_access.table ~route system))
+  in
+  let both = System.with_failed_links broken [ other ] in
+  accepts "healthy XY base" (Test_access.table sys) ~system:broken
+    ~route:(detour [ link ]);
+  accepts "routed healthy base" (Test_access.table ~route:xy sys)
+    ~system:broken ~route:(detour [ link ]);
+  accepts "XY base with failed links" (Test_access.table broken) ~system:both
+    ~route:(detour [ link; other ]);
+  accepts "derived base"
     (Test_access.table_degrade (Test_access.table sys) ~system:broken
-       ~route:xy)
+       ~route:(detour [ link ]))
+    ~system:both ~route:(detour [ link; other ]);
+  accepts "same fault set" (Test_access.table ~route:(detour [ link ]) broken)
+    ~system:broken ~route:(detour [ link ])
 
 let test_degrade_span () =
   (* A dead router on the mesh's middle tile reroutes some legs. *)
@@ -460,8 +544,9 @@ let suite =
       test_sweep_ignores_mismatched_table;
     prop_cost_well_formed;
     prop_degrade_matches_fresh;
-    Alcotest.test_case "table_degrade rejects an unhealthy base" `Quick
-      test_degrade_rejects_unhealthy_base;
+    prop_degrade_chain_matches_fresh;
+    Alcotest.test_case "table_degrade rejects a base it cannot derive from"
+      `Quick test_degrade_rejects_underivable_base;
     Alcotest.test_case "derived tables emit a derived access.table span"
       `Quick test_degrade_span;
   ]
