@@ -129,6 +129,53 @@ let test_mixed_systems_schedule () =
       Alcotest.(check bool) "validated" true p.Planner.validated)
     s.Planner.points
 
+(* The committed bench artefact records the Figure-1 series (perfbench
+   checks its sweeps against them too): the unconstrained series of
+   every [*_leon] panel must still be what [Planner.reuse_sweep]
+   gives. *)
+let test_committed_figure1_panels () =
+  let module Json = Nocplan_serve.Json in
+  let path = "../BENCH_nocplan.json" in
+  let doc =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let panels =
+    match Option.bind (Json.member "figure1" doc) (Json.member "panels") with
+    | Some (Json.List panels) -> panels
+    | _ -> Alcotest.failf "%s: no figure1 panels" path
+  in
+  List.iter
+    (fun (name, system) ->
+      let recorded =
+        match
+          List.find_opt
+            (fun p -> Json.str_field "system" p = Some name)
+            panels
+        with
+        | Some panel -> (
+            match Json.member "unconstrained" panel with
+            | Some (Json.List points) ->
+                List.map
+                  (fun p ->
+                    (Json.int_field "reuse" p, Json.int_field "makespan" p))
+                  points
+            | _ ->
+                Alcotest.failf "%s: %s has no unconstrained series" path name)
+        | None -> Alcotest.failf "%s: no %s panel" path name
+      in
+      let fresh =
+        List.map
+          (fun (p : Planner.point) ->
+            (Some p.Planner.reuse, Some p.Planner.makespan))
+          (sweep (Lazy.force system)).Planner.points
+      in
+      Alcotest.(check (list (pair (option int) (option int))))
+        name fresh recorded)
+    [ ("d695_leon", d695); ("p22810_leon", p22810); ("p93791_leon", p93791) ]
+
 let suite =
   [
     Alcotest.test_case "system shapes match the paper" `Quick
@@ -146,4 +193,6 @@ let suite =
       test_lookahead_no_worse_at_best;
     Alcotest.test_case "mixed processor systems" `Slow
       test_mixed_systems_schedule;
+    Alcotest.test_case "committed figure1 panels reproduce" `Slow
+      test_committed_figure1_panels;
   ]
